@@ -11,22 +11,29 @@ exact tuples of Fractions (symbolic identities, zero tolerance) and numpy
 float arrays (Monte Carlo, vectorized over leading axes).  The BCH
 coefficients are not transcribed from a table: the two-letter group
 product is generated once per nilpotency class by the free-algebra engine
-and cached, which keeps a single source of truth for the series.
+and cached, which keeps a single source of truth for the series.  The
+float mode evaluates the same series, expanded once per algebra into exact
+polynomials in the coordinates of the two factors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Optional, Sequence
 
 import numpy as np
 
-from . import freealg
 from .freealg import FreePoly, dynkin_product, evaluate_lie
 from .ratlinalg import Subspace, fracvec, is_zero_vec, solve_in_basis
 
 ExactVector = tuple[Fraction, ...]
+Monomial = tuple[int, ...]
+
+
+# Rows per pass of the float group law: the temporaries of one pass stay in
+# cache, which on large batches is several times faster than one pass.
+_BLOCK_ROWS = 4096
 
 
 class DimensionMismatch(ValueError):
@@ -36,6 +43,43 @@ class DimensionMismatch(ValueError):
 @lru_cache(maxsize=32)
 def _bch_poly(step: int) -> FreePoly:
     return dynkin_product(2, step)
+
+
+class _Poly(dict):
+    """Commutative polynomial over Fractions: monomial (sorted tuple of
+    variable indices) -> coefficient.  Supplies the arithmetic that
+    ``bracket_exact`` and ``evaluate_lie`` use, so the exact evaluator runs
+    on symbolic coordinates.  The only constant it meets is zero.
+    """
+
+    def __add__(self, other) -> "_Poly":
+        out = _Poly(self)
+        if isinstance(other, _Poly):
+            for m, c in other.items():
+                out[m] = out.get(m, 0) + c
+        elif other != 0:
+            return NotImplemented
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "_Poly":
+        if not isinstance(other, _Poly):
+            return _Poly({m: c * other for m, c in self.items()})
+        out = _Poly()
+        for m1, c1 in self.items():
+            for m2, c2 in other.items():
+                m = tuple(sorted(m1 + m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return out
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other) -> "_Poly":
+        return self + other * -1
+
+    def __rsub__(self, other) -> "_Poly":
+        return self * -1 + other
 
 
 class NilpotentAlgebra:
@@ -60,20 +104,10 @@ class NilpotentAlgebra:
         self.table = table
         self.labels = tuple(labels) if labels else tuple(f"e{i+1}" for i in range(self.dim))
         self.name = name
-        self._sparse_entries = self._build_sparse()
         if validate:
             self.validate()
 
     # -- construction helpers -------------------------------------------
-
-    def _build_sparse(self) -> list[tuple[int, int, int, float]]:
-        entries = []
-        for (i, j), comp in self.table.items():
-            for k, c in comp.items():
-                fc = float(c)
-                entries.append((i, j, k, fc))
-                entries.append((j, i, k, -fc))
-        return entries
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
         if i == j:
@@ -110,15 +144,7 @@ class NilpotentAlgebra:
 
     def bch_exact(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> ExactVector:
         """Group product x * y in exponential coordinates, exact."""
-        x = fracvec(x)
-        y = fracvec(y)
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch("coordinate length does not match the algebra")
-        return evaluate_lie(
-            _bch_poly(self.step), [x, y],
-            bracket=self.bracket_exact, add=self.add_exact,
-            scale=self.scale_exact, zero=self.zero_vector(),
-        )
+        return self.evaluate_poly_exact(_bch_poly(self.step), [x, y])
 
     def multi_product_exact(self, xs: Sequence[Sequence[Fraction]]) -> ExactVector:
         if not xs:
@@ -139,66 +165,77 @@ class NilpotentAlgebra:
             scale=self.scale_exact, zero=self.zero_vector(),
         )
 
-    # -- float mode --------------------------------------------------------
+    # -- the compiled group law ----------------------------------------------
 
-    def bracket_float(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=float)
-        for (i, j, k, v) in self._sparse_entries:
-            out[..., k] += v * x[..., i] * y[..., j]
-        return out
+    @cached_property
+    def group_law(self) -> tuple[dict[Monomial, Fraction], ...]:
+        """x * y expanded exactly into one polynomial per output coordinate.
+
+        The variables are z = (x_0..x_{d-1}, y_0..y_{d-1}); a monomial is the
+        sorted tuple of its variable indices.  Built by running the cached
+        two-letter series through the exact evaluator on symbolic
+        coordinates, so it is the law of ``bch_exact``.
+        """
+        d = self.dim
+        xy = [tuple(_Poly({(off + i,): Fraction(1)}) for i in range(d)) for off in (0, d)]
+        law = evaluate_lie(_bch_poly(self.step), xy, bracket=self.bracket_exact,
+                           add=self.add_exact, scale=self.scale_exact, zero=self.zero_vector())
+        return tuple({m: c for m, c in p.items() if c} for p in law)
 
     def product_map(self):
-        """Compiled vectorized group product for float arrays (..., dim).
+        """Vectorized group product for float arrays (..., dim).
 
-        Words of the cached two-letter series are evaluated through a prefix
-        trie of bracket chains; the quadratic terms are merged into a single
-        antisymmetric pass, which makes class-2 algebras a one-bracket step.
+        Evaluates ``group_law``, compiled once per algebra: out = x + y, then
+        each coordinate adds its higher monomials, summed in groups of equal
+        |coefficient| and scaled once per group.  Each monomial, and each
+        prefix of one, is computed once per pass and shared by the
+        coordinates; a pass takes at most _BLOCK_ROWS rows.
         """
-        poly = _bch_poly(self.step)
-        quad = {}  # (i, j) i<j -> float coefficient of [arg_i, arg_j]
-        higher: list[tuple[float, bytes]] = []
-        for w, c in poly.terms.items():
-            r = len(w)
-            if r == 1:
-                continue  # handled by x + y
-            coeff = Fraction(c, r)
-            if r == 2:
-                a, b = w
-                if a < b:
-                    quad[(a, b)] = quad.get((a, b), Fraction(0)) + coeff
-                else:
-                    quad[(b, a)] = quad.get((b, a), Fraction(0)) - coeff
-            else:
-                higher.append((float(coeff), bytes(w)))
-        quad_items = [(i, j, float(c)) for (i, j), c in quad.items() if c != 0]
-        higher.sort(key=lambda t: (len(t[1]), t[1]))
-        bracket = self.bracket_float
+        return self._product_kernel
+
+    @cached_property
+    def _product_kernel(self):
+        d = self.dim
+        steps: dict[Monomial, tuple[Monomial, Monomial]] = {}  # m -> (prefix, last variable)
+        plan = []  # (k, c, pos, neg): out[..., k] += c * (sum(pos) - sum(neg))
+        for k, poly in enumerate(self.group_law):
+            if {m: c for m, c in poly.items() if len(m) == 1} != {(k,): 1, (d + k,): 1}:
+                raise RuntimeError("group law is not x + y to first order")
+            groups: dict[Fraction, tuple[list, list]] = {}
+            for m, c in sorted(poly.items()):
+                if len(m) > 1:
+                    for r in range(2, len(m) + 1):
+                        steps.setdefault(m[:r], (m[:r - 1], m[r - 1:r]))
+                    groups.setdefault(abs(c), ([], []))[c < 0].append(m)
+            for c, (pos, neg) in groups.items():
+                plan.append((k, float(c), pos, neg) if pos else (k, -float(c), neg, pos))
+        variables = sorted({v for m in steps for v in m})
+
+        def accumulate(out: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+            val = {(v,): x[..., v] if v < d else y[..., v - d] for v in variables}
+            for m, (prefix, last) in steps.items():
+                val[m] = val[prefix] * val[last]
+            for k, c, pos, neg in plan:
+                acc = val[pos[0]]
+                for m in pos[1:]:
+                    acc = acc + val[m]
+                for m in neg:
+                    acc = acc - val[m]
+                out[..., k] += acc if c == 1.0 else c * acc
 
         def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            args = (np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-            out = args[0] + args[1]
-            cache: dict[bytes, np.ndarray] = {}
-            for (i, j, v) in quad_items:
-                br = bracket(args[i], args[j])
-                cache[bytes((i, j))] = br
-                out = out + v * br
-            for coeff, w in higher:
-                v = None
-                start = 2
-                for plen in range(len(w) - 1, 1, -1):
-                    v = cache.get(w[:plen])
-                    if v is not None:
-                        start = plen
-                        break
-                if v is None:
-                    v = bracket(args[w[0]], args[w[1]])
-                    cache[w[:2]] = v
-                for pos in range(start, len(w)):
-                    v = bracket(v, args[w[pos]])
-                    cache[w[: pos + 1]] = v
-                out = out + coeff * v
+            x = np.asarray(x, dtype=float)
+            y = np.asarray(y, dtype=float)
+            out = x + y
+            n = len(out) if out.ndim == 2 and plan else 0
+            if n <= _BLOCK_ROWS:
+                if plan:
+                    accumulate(out, x, y)
+                return out
+            for lo in range(0, n, _BLOCK_ROWS):
+                rows = slice(lo, lo + _BLOCK_ROWS)
+                accumulate(out[rows], *(a[rows] if a.ndim == 2 and len(a) == n else a
+                                        for a in (x, y)))
             return out
 
         return product

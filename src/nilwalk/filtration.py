@@ -109,6 +109,8 @@ class WeightFiltration:
         self._A = np.array([[float(c) for c in row] for row in self.adapted_rows])
         self._Ainv = np.array([[float(c) for c in row] for row in self.adapted_inv])
         self._weights_arr = np.array(self.weights, dtype=float)
+        self._identity_basis = all(c == (i == j) for i, row in enumerate(self.adapted_rows)
+                                   for j, c in enumerate(row))
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -164,10 +166,13 @@ class WeightFiltration:
     # -- float coordinate changes -----------------------------------------
 
     def to_adapted_float(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self._Ainv
+        """Adapted coordinates; the input itself when the basis is the identity."""
+        x = np.asarray(x, dtype=float)
+        return x if self._identity_basis else x @ self._Ainv
 
     def from_adapted_float(self, c: np.ndarray) -> np.ndarray:
-        return np.asarray(c, dtype=float) @ self._A
+        c = np.asarray(c, dtype=float)
+        return c if self._identity_basis else c @ self._A
 
     def layer_mask(self, i: int) -> np.ndarray:
         return self._weights_arr == i
@@ -182,12 +187,6 @@ class WeightFiltration:
         c = self.to_adapted(x)
         scaled = tuple(v * r ** self.weights[j] for j, v in enumerate(c))
         return self.from_adapted(scaled)
-
-    def dilate_float(self, r: float, x: np.ndarray) -> np.ndarray:
-        if r <= 0:
-            raise ValueError("dilation parameter must be positive")
-        c = self.to_adapted_float(x)
-        return self.from_adapted_float(c * r ** self._weights_arr)
 
     def dilation_determinant(self, r: Fraction) -> Fraction:
         return Fraction(r) ** self.hom_dim
@@ -256,11 +255,6 @@ class WeightFiltration:
         cx, cy = self.to_adapted(x), self.to_adapted(y)
         cz = self.graded_algebra.bch_exact(cx, cy)
         return self.from_adapted(cz)
-
-    def graded_product_float(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        cx = self.to_adapted_float(x)
-        cy = self.to_adapted_float(y)
-        return self.from_adapted_float(self.graded_algebra.product_map()(cx, cy))
 
     def conjugated_product(self, t, x: Sequence, y: Sequence) -> ExactVector:
         """D_{1/t}(D_t x * D_t y); converges to the graded product as t grows."""
@@ -416,9 +410,6 @@ class ExtendedAlgebra:
             self.adapted_rows = tuple(rows)
             self.adapted_inv = tuple(invert_matrix(rows))
             self.weights = tuple(weights)
-        self._A = np.array([[float(c) for c in row] for row in self.adapted_rows])
-        self._Ainv = np.array([[float(c) for c in row] for row in self.adapted_inv])
-        self._weights_arr = np.array(self.weights, dtype=float)
 
     @property
     def dim(self) -> int:
@@ -430,13 +421,6 @@ class ExtendedAlgebra:
             return fracvec(x)
         return tuple(list(fracvec(x)) + [Fraction(1)])
 
-    def lift_float(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.is_trivial:
-            return x
-        pad = np.ones(x.shape[:-1] + (1,))
-        return np.concatenate([x, pad], axis=-1)
-
     def project(self, x: Sequence) -> ExactVector:
         """Group morphism back to g: x + t*chi -> x + t*X (drop the last coord)."""
         v = fracvec(x)
@@ -444,22 +428,10 @@ class ExtendedAlgebra:
             return v
         return v[:-1]
 
-    def project_float(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.is_trivial:
-            return x
-        return x[..., :-1]
-
     def chi_coordinate(self, x: Sequence) -> Fraction:
         if self.is_trivial:
             return Fraction(0)
         return fracvec(x)[-1]
-
-    def to_adapted_float(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self._Ainv
-
-    def from_adapted_float(self, c: np.ndarray) -> np.ndarray:
-        return np.asarray(c, dtype=float) @ self._A
 
     def bch_exact(self, x: Sequence, y: Sequence) -> ExactVector:
         return self.algebra.bch_exact(fracvec(x), fracvec(y))

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import ExactVector, NilpotentAlgebra
-from .filtration import ExtendedAlgebra, WeightFiltration
+from .filtration import WeightFiltration
 from .ratlinalg import fracvec
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

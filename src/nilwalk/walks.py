@@ -614,10 +614,9 @@ def theta_experiment(cfg: WalkConfig, gamma0: float, config_digest: str = "") ->
     total2 = np.zeros(wf.algebra.dim)
     altered = 0
     count = 0
-    for samples, alt in gradual_truncation_stream(cfg, gamma0):
-        ad = wf.to_adapted_float(samples)
-        total += ad.sum(axis=0)
-        total2 += (ad**2).sum(axis=0)
+    for samples, alt in gradual_truncation_stream(cfg, gamma0):  # adapted coordinates
+        total += samples.sum(axis=0)
+        total2 += (samples**2).sum(axis=0)
         altered += int(alt[0])
         count += samples.shape[0]
     mean = total / count

@@ -16,6 +16,7 @@ from nilwalk.algebra import (
     free_nilpotent,
     heisenberg3,
 )
+from nilwalk.filtration import WeightFiltration
 from nilwalk.freealg import dynkin_product
 
 
@@ -185,3 +186,73 @@ def test_product_map_matches_exact():
             ye = tuple(F(v).limit_denominator(10**12) for v in Y[r])
             ze = alg.bch_exact(xe, ye)
             assert np.allclose(Z[r], [float(c) for c in ze], atol=1e-9)
+
+
+# -- the compiled group law ---------------------------------------------------------
+
+def _drift_e1_free23():
+    return WeightFiltration(free_nilpotent(2, 3), [1, 0, 0, 0, 0])
+
+
+GUARD_ALGEBRAS = {
+    "heisenberg3": heisenberg3,
+    "filiform4": filiform4,
+    "abelian(3)": lambda: abelian(3),
+    "free(2,2)": lambda: free_nilpotent(2, 2),
+    "free(2,3)": lambda: free_nilpotent(2, 3),
+    "free(2,4)": lambda: free_nilpotent(2, 4),
+    "free(3,2)": lambda: free_nilpotent(3, 2),
+    "free(3,3)": lambda: free_nilpotent(3, 3),
+    "free(2,3)-adapted": lambda: _drift_e1_free23().adapted_algebra,
+    "free(2,3)-graded": lambda: _drift_e1_free23().graded_algebra,
+}
+
+
+def _law_value(law, x, y):
+    """Evaluate the per-coordinate polynomials of group_law exactly."""
+    z = tuple(x) + tuple(y)
+    out = []
+    for poly in law:
+        total = F(0)
+        for mono, c in poly.items():
+            for v in mono:
+                c = c * z[v]
+            total += c
+        out.append(total)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_ALGEBRAS))
+def test_group_law_polynomials_equal_bch_exact(name):
+    alg = GUARD_ALGEBRAS[name]()
+    rng = random.Random(name)
+    for _ in range(6):
+        x, y = (tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(alg.dim))
+                for _ in range(2))
+        assert _law_value(alg.group_law, x, y) == alg.bch_exact(x, y)
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_ALGEBRAS))
+def test_float_kernel_matches_bch_exact(name):
+    alg = GUARD_ALGEBRAS[name]()
+    rng = random.Random(name + "-float")
+    # dyadic rationals, so the float inputs are the exact inputs
+    xs, ys = ([tuple(F(rng.randint(-24, 24), 8) for _ in range(alg.dim)) for _ in range(8)]
+              for _ in range(2))
+    got = alg.product_map()(np.array(xs, dtype=float), np.array(ys, dtype=float))
+    for row, x, y in zip(got, xs, ys):
+        exact = np.array([float(c) for c in alg.bch_exact(x, y)])
+        assert np.all(np.abs(row - exact) <= 1e-12 * np.maximum(np.abs(exact), 1.0))
+
+
+def test_product_map_is_cached_and_blocks_rows_exactly():
+    alg = free_nilpotent(2, 3)
+    pm = alg.product_map()
+    assert alg.product_map() is pm
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1, 1, (9_000, alg.dim))  # more rows than one pass takes
+    y = rng.uniform(-1, 1, (9_000, alg.dim))
+    shift = rng.uniform(-1, 1, alg.dim)
+    rows = np.array([pm(a, b) for a, b in zip(x, y)])
+    assert np.array_equal(pm(x, y), rows)
+    assert np.array_equal(pm(x, shift[None, :]), np.array([pm(a, shift) for a in x]))

@@ -108,6 +108,40 @@ def test_walk_theta(tmp_path, heis_config, capsys):
     assert main(["walk", "theta", "--config", str(heis_config)]) == 0
 
 
+@pytest.mark.parametrize("mode", ["llt", "clt", "theta"])
+def test_configured_check_fails_in_every_mode(tmp_path, heis_config, mode):
+    cfg = json.loads(heis_config.read_text())
+    cfg["params"]["checks"] = {"target": 1000, "relative_tolerance": 0.01}
+    heis_config.write_text(json.dumps(cfg))
+    assert main(["walk", mode, "--config", str(heis_config),
+                 "--out", str(tmp_path / "out.csv")]) == 1
+
+
+def test_configured_check_passes_on_clt_variance(tmp_path, heis_config):
+    cfg = json.loads(heis_config.read_text())
+    cfg["params"]["checks"] = {"target": 1.0, "relative_tolerance": 0.1}
+    heis_config.write_text(json.dumps(cfg))
+    assert main(["walk", "clt", "--config", str(heis_config),
+                 "--out", str(tmp_path / "out.csv")]) == 0
+
+
+def test_walk_ratio_builds_one_limit_bank(tmp_path, heis_config, monkeypatch):
+    from nilwalk import cli
+
+    cfg = json.loads(heis_config.read_text())
+    cfg.pop("N")
+    cfg |= {"M": 2_000, "N_grid": [4, 8, 16]}
+    cfg["params"] |= {"recenter": "none", "diffusion_steps": 16, "nu_samples": 2_000}
+    heis_config.write_text(json.dumps(cfg))
+    calls = []
+    real = cli.simulate_limit
+    monkeypatch.setattr(cli, "simulate_limit", lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert main(["walk", "ratio", "--config", str(heis_config),
+                 "--out", str(tmp_path / "ratio.csv")]) == 0
+    assert len(calls) == 1
+    assert len(read_body(tmp_path / "ratio.csv")) == 1 + 3
+
+
 def test_walk_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -314,3 +314,15 @@ def test_adapted_algebra_consistency(heis_drift_e1, heis):
             adapted.bch_exact(heis_drift_e1.to_adapted(x), heis_drift_e1.to_adapted(y))
         )
         assert via_adapted == heis.bch_exact(x, y)
+
+
+def test_float_basis_change_skipped_only_for_identity_basis():
+    x = np.random.default_rng(6).uniform(-2, 2, (7, 5))
+    centered = WeightFiltration(heisenberg3(), [0, 0, 0])
+    h = x[:, :3].copy()
+    assert centered.to_adapted_float(h) is h and centered.from_adapted_float(h) is h
+    drifted = WeightFiltration(free_nilpotent(2, 3), [1, 0, 0, 0, 0])
+    assert [list(r) for r in drifted.adapted_rows] != np.eye(5).tolist()
+    ad = drifted.to_adapted_float(x)
+    assert ad is not x and np.array_equal(ad, x @ drifted._Ainv)
+    assert np.allclose(drifted.from_adapted_float(ad), x, atol=1e-12)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from nilwalk.algebra import abelian, heisenberg3
+from nilwalk.algebra import abelian, free_nilpotent, heisenberg3
 from nilwalk.filtration import WeightFiltration
 from nilwalk.measures import (
     AtomicMeasure,
@@ -12,6 +12,7 @@ from nilwalk.measures import (
     Gaussian1D,
     ProductMeasure,
     TwoPoint1D,
+    Uniform1D,
 )
 from nilwalk.walks import (
     DeviationSpec,
@@ -131,6 +132,24 @@ def test_theta_with_drift_matches_plain_for_compact_support(heis):
     plain = np.concatenate(list(product_stream(cfg)), axis=0)
     theta = np.concatenate([s for s, _ in gradual_truncation_stream(cfg, 0.2)], axis=0)
     assert np.array_equal(plain, theta)
+
+
+def test_theta_moments_equal_plain_walk_on_non_identity_basis():
+    """free-nilpotent(2,3) with drift e1: the adapted basis is not the identity
+    (it swaps coordinates 4 and 5), so theta's moments must not be converted
+    to adapted coordinates a second time."""
+    alg = free_nilpotent(2, 3)
+    wf = WeightFiltration(alg, [1, 0, 0, 0, 0])
+    mu = ProductMeasure(alg, [Uniform1D(0.5, 1.5)] + [Uniform1D(-1.0, 1.0)] * 4)
+    cfg = WalkConfig(wf, mu, 64, 3_000, seed=17)
+    theta = theta_experiment(cfg, 0.2)
+    plain = clt_experiment(cfg)
+    assert theta["altered_fraction"] == 0.0
+    scale = 64.0 ** (-np.array(wf.weights) / 2.0)
+    assert np.allclose(np.array(theta["mean_adapted"]) * scale, plain["mean_adapted"],
+                       rtol=1e-9, atol=1e-12)
+    assert np.allclose(np.array(theta["var_adapted"]) * scale**2,
+                       np.diag(plain["cov_adapted"]), rtol=1e-7, atol=0.0)
 
 
 def test_theta_altered_fraction_decays(heis_centered, heis_gauss):
