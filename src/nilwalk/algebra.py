@@ -285,35 +285,6 @@ class NilpotentAlgebra:
         return f"NilpotentAlgebra({label}, dim={self.dim}, step={self.step})"
 
 
-class Element:
-    """A coordinate vector tied to its algebra; * is the group product."""
-
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra: NilpotentAlgebra, coords):
-        self.algebra = algebra
-        self.coords = fracvec(coords)
-        if len(self.coords) != algebra.dim:
-            raise DimensionMismatch("coordinate length does not match the algebra")
-
-    def __mul__(self, other: "Element") -> "Element":
-        if other.algebra is not self.algebra:
-            raise ValueError("elements live on different algebras")
-        return Element(self.algebra, self.algebra.bch_exact(self.coords, other.coords))
-
-    def __neg__(self) -> "Element":
-        return Element(self.algebra, tuple(-c for c in self.coords))
-
-    def bracket(self, other: "Element") -> "Element":
-        return Element(self.algebra, self.algebra.bracket_exact(self.coords, other.coords))
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and self.algebra is other.algebra and self.coords == other.coords
-
-    def __repr__(self):
-        return f"Element{tuple(str(c) for c in self.coords)}"
-
-
 # -- built-in algebras -------------------------------------------------------
 
 

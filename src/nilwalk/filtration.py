@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .ratlinalg import (
     invert_matrix,
     is_zero_vec,
     vec_add,
-    vec_scale,
 )
 
 
@@ -106,9 +105,10 @@ class WeightFiltration:
         self.adapted_inv = tuple(invert_matrix(adapted_rows))
         self.hom_dim = sum(sp.dim for sp in self.ideals)
 
+        # float forms of the basis change and the weights, for the Monte Carlo side
         self._A = np.array([[float(c) for c in row] for row in self.adapted_rows])
-        self._Ainv = np.array([[float(c) for c in row] for row in self.adapted_inv])
-        self._weights_arr = np.array(self.weights, dtype=float)
+        self.adapted_inv_array = np.array([[float(c) for c in row] for row in self.adapted_inv])
+        self.weights_array = np.array(self.weights, dtype=float)
         self._identity_basis = all(c == (i == j) for i, row in enumerate(self.adapted_rows)
                                    for j, c in enumerate(row))
 
@@ -168,14 +168,14 @@ class WeightFiltration:
     def to_adapted_float(self, x: np.ndarray) -> np.ndarray:
         """Adapted coordinates; the input itself when the basis is the identity."""
         x = np.asarray(x, dtype=float)
-        return x if self._identity_basis else x @ self._Ainv
+        return x if self._identity_basis else x @ self.adapted_inv_array
 
     def from_adapted_float(self, c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)
         return c if self._identity_basis else c @ self._A
 
     def layer_mask(self, i: int) -> np.ndarray:
-        return self._weights_arr == i
+        return self.weights_array == i
 
     # -- dilations -----------------------------------------------------------
 

@@ -21,9 +21,10 @@ holds by construction and is not tested numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class FrequencyPoint:
 
     def restriction_norm(self, filtration: WeightFiltration, depth: int) -> float:
         xi = np.asarray(self.xi)
-        mask = filtration._weights_arr >= depth
+        mask = filtration.weights_array >= depth
         return float(np.linalg.norm(xi[mask]))
 
     def norm(self) -> float:
@@ -113,7 +114,7 @@ def reduced_domain_scan(filtration: WeightFiltration, measure: Measure,
         cfg = WalkConfig(filtration, measure, n_steps=int(n), n_replicas=n_replicas,
                          seed=seed, chunk_size=chunk_size, workers=workers)
         rep = empirical_char_many(cfg, xis)
-        dil = np.power(float(n), filtration._weights_arr / 2.0)
+        dil = np.power(float(n), filtration.weights_array / 2.0)
         for j, xi in enumerate(xis):
             row = {
                 "xi_index": j,
@@ -280,16 +281,12 @@ def normalized_kernel(x: np.ndarray) -> np.ndarray:
     return _kernel_pair(x) / _KERNEL_L1
 
 
-_FIRST_MOMENT_CACHE: list[float] = []
-
-
+@functools.cache
 def _kernel_first_moment() -> float:
     # integral |x| rho(x) dx; x^-4 tails make this converge fast
-    if not _FIRST_MOMENT_CACHE:
-        grid = np.linspace(-400.0, 400.0, 1_600_001)
-        vals = np.abs(grid) * normalized_kernel(grid)
-        _FIRST_MOMENT_CACHE.append(float(np.trapezoid(vals, grid)) + 1e-3)  # tail padding
-    return _FIRST_MOMENT_CACHE[0]
+    grid = np.linspace(-400.0, 400.0, 1_600_001)
+    vals = np.abs(grid) * normalized_kernel(grid)
+    return float(np.trapezoid(vals, grid)) + 1e-3  # tail padding
 
 
 def _cover_floor(max_center_distance: float = 0.26) -> float:

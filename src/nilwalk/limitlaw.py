@@ -31,7 +31,7 @@ from .measures import AtomicMeasure, Measure, ProductMeasure
 def measure_moments_adapted(measure: Measure, wf: WeightFiltration,
                             mc_samples: int = 400_000, seed: int = 314) -> tuple[np.ndarray, np.ndarray]:
     """(mean, covariance) in adapted coordinates; closed form when possible."""
-    ainv = wf._Ainv
+    ainv = wf.adapted_inv_array
     if isinstance(measure, ProductMeasure):
         mean = measure.mean_float()
         cov = np.diag(measure.cov_diag())

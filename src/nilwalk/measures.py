@@ -22,7 +22,7 @@ output.  The scan cannot prove aperiodicity, only flag violations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -166,7 +166,7 @@ class Measure:
         idx = filtration.layer_indices(1)
         full = np.zeros((xi.shape[0], filtration.algebra.dim))
         full[:, idx] = xi
-        orig = full @ filtration._Ainv.T
+        orig = full @ filtration.adapted_inv_array.T
         return self.char_original(orig)
 
 
@@ -292,7 +292,15 @@ def self_check_moments(measure: Measure, n_samples: int = 1_000_000, seed: int =
 
 @dataclass
 class TruncatedMeasure:
-    """Per-layer clipping at radius N^(b/2) with first-layer recentering."""
+    """Per-layer clipping at radius N^(b/2) with first-layer recentering.
+
+    With ``drift_layer1`` set to the layer-1 drift X, the rule acts on the
+    lift (x, t = 1) of each increment to the drift extension, whose extra
+    central coordinate t has weight 2: layer 1 is measured as x^(1) - X,
+    layer 2 as sqrt(t^2 + |x^(2)|^2), and a clipped first layer becomes
+    t X + c, with t = 0 on rows whose layer 2 clipped too.  ``None`` means
+    no lift.
+    """
 
     base: Measure
     filtration: WeightFiltration
@@ -301,38 +309,67 @@ class TruncatedMeasure:
     c_vector_exact: Optional[tuple] = None
     exceed_probability: float = 0.0
     c_stderr: float = 0.0
+    drift_layer1: Optional[np.ndarray] = None
 
-    def thresholds(self) -> np.ndarray:
-        w = self.filtration._weights_arr
-        return np.power(float(self.level), w / 2.0)
-
-    def apply_map_adapted(self, coords: np.ndarray) -> np.ndarray:
-        """The clipping map on (M, dim) adapted coordinates (vectorized, pure)."""
+    def clip(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(clipped rows, mask of the rows that exceeded) for (M, dim) adapted
+        coordinates.  Every layer is judged on the input before any write;
+        when no row exceeds, the input itself comes back."""
         wf = self.filtration
-        out = np.array(coords, dtype=float, copy=True)
+        coords = np.asarray(coords, dtype=float)
+        drift = self.drift_layer1
+        bads: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # layer -> (indices, exceeded)
         for b in range(1, wf.max_weight + 1):
             idx = np.flatnonzero(wf.layer_mask(b))
             if idx.size == 0:
-                continue
-            # layers are disjoint, so earlier writes never affect these norms
-            norms = np.linalg.norm(out[:, idx], axis=-1)
+                continue  # an empty layer 2 gives sqrt(t^2) = 1, never above the level
+            block = coords[:, idx]
+            if b == 1 and drift is not None:
+                norms = np.linalg.norm(block - drift, axis=-1)
+            elif b == 2 and drift is not None:
+                norms = np.sqrt(1.0 + (block**2).sum(axis=-1))
+            else:
+                norms = np.linalg.norm(block, axis=-1)
             bad = norms > float(self.level) ** (b / 2.0)
-            if not bad.any():
-                continue
-            if b == 1:
+            if bad.any():
+                bads[b] = (idx, bad)
+        altered = np.zeros(coords.shape[0], dtype=bool)
+        if not bads:
+            return coords, altered
+        out = coords.copy()
+        for b, (idx, bad) in bads.items():
+            altered |= bad
+            if b > 1:
+                out[np.ix_(bad, idx)] = 0.0
+            elif drift is None:
                 out[np.ix_(bad, idx)] = self.c_vector_adapted
             else:
-                out[np.ix_(bad, idx)] = 0.0
-        return out
+                t = ~bads[2][1] if 2 in bads else np.ones(coords.shape[0], dtype=bool)
+                out[np.ix_(bad, idx)] = t[bad, None] * drift + self.c_vector_adapted
+        return out, altered
 
-    def sample_adapted(self, rng, size) -> np.ndarray:
-        raw = self.base.sample(rng, size)
-        return self.apply_map_adapted(self.filtration.to_adapted_float(raw))
+    def apply_map_adapted(self, coords: np.ndarray) -> np.ndarray:
+        """The clipping map on (M, dim) adapted coordinates (vectorized, pure)."""
+        return self.clip(coords)[0]
 
     def altered_fraction(self, rng, size) -> float:
         raw = self.filtration.to_adapted_float(self.base.sample(rng, size))
-        clipped = self.apply_map_adapted(raw)
-        return float((np.abs(clipped - raw).max(axis=-1) > 0).mean())
+        return float(self.clip(raw)[1].mean())
+
+
+def recentering_constant(layer1: np.ndarray, level: int) -> tuple[np.ndarray, float]:
+    """(c, P(exceed)) from first-layer samples, exceeding meaning |x^(1)| > sqrt(level):
+
+        c = -P(exceed)^{-1} E[x^(1) ; no exceed],
+
+    with the 0/0 convention c = 0 when no sample exceeds.
+    """
+    bad = np.linalg.norm(layer1, axis=1) > math.sqrt(level)
+    p_exceed = float(bad.mean())
+    if p_exceed == 0.0:
+        return np.zeros(layer1.shape[1]), 0.0
+    kept_mean = layer1[~bad].sum(axis=0) / layer1.shape[0]
+    return -kept_mean / p_exceed, p_exceed
 
 
 def _exact_layer_norm_sq(coords: Sequence[Fraction]) -> Fraction:
@@ -341,14 +378,8 @@ def _exact_layer_norm_sq(coords: Sequence[Fraction]) -> Fraction:
 
 def truncate(measure: Measure, filtration: WeightFiltration, level: int,
              mc_samples: int = 200_000, seed: int = 1) -> TruncatedMeasure:
-    """Build the level-N truncation; exact recentering for atomic laws.
-
-    The recentering constant is
-
-        c = -P(exceed)^{-1} E[x_layer1 ; no exceed]
-
-    on the first layer, with the 0/0 convention c = 0 when nothing exceeds.
-    """
+    """Build the level-N truncation.  The recentering constant is that of
+    ``recentering_constant``: exact for atomic laws, Monte Carlo otherwise."""
     wf = filtration
     if level < 1:
         raise ValueError("truncation level must be >= 1")
@@ -376,18 +407,9 @@ def truncate(measure: Measure, filtration: WeightFiltration, level: int,
         )
 
     rng = np.random.default_rng(seed)
-    xs = wf.to_adapted_float(measure.sample(rng, mc_samples))
-    layer1 = xs[:, idx1]
-    norms = np.linalg.norm(layer1, axis=1)
-    bad = norms > math.sqrt(level)
-    p_exceed = float(bad.mean())
-    if p_exceed == 0.0:
-        c = np.zeros(len(idx1))
-        stderr = 0.0
-    else:
-        kept_mean = layer1[~bad].sum(axis=0) / mc_samples
-        c = -kept_mean / p_exceed
-        stderr = float(layer1.std() / math.sqrt(mc_samples) / p_exceed)
+    layer1 = wf.to_adapted_float(measure.sample(rng, mc_samples))[:, idx1]
+    c, p_exceed = recentering_constant(layer1, level)
+    stderr = float(layer1.std() / math.sqrt(mc_samples) / p_exceed) if p_exceed else 0.0
     return TruncatedMeasure(
         base=measure, filtration=wf, level=level,
         c_vector_adapted=c, exceed_probability=p_exceed, c_stderr=stderr,

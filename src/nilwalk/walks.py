@@ -10,10 +10,11 @@ run.
 
 Recentering modes: none, right translation by -N*X (mean recentering), or
 the variable version -N*X * -D_sqrt(N) Y that aims the window at density
-point Y.  The gradually truncated walk multiplies increments drawn from a
-schedule of clipped lifts of the law and projects back; for compactly
-supported laws and large N its sample paths coincide with the plain walk
-stream for stream.
+point Y.  One chunk runner folds both walks.  The gradually truncated walk
+differs from the plain one only in that each increment first passes the
+``measures.TruncatedMeasure`` clip of its schedule level, lifted to the
+drift extension; chunk plan, streams, workers and recentering are shared,
+so for compactly supported laws and large N the two coincide bit for bit.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .filtration import WeightFiltration
-from .measures import Measure
+from .measures import Measure, TruncatedMeasure, recentering_constant
 
 # -- results -------------------------------------------------------------------
 
@@ -124,7 +124,7 @@ def recentering_vector_adapted(cfg: WalkConfig) -> np.ndarray:
     if cfg.recenter == "mean":
         return shift
     y_ad = wf.to_adapted_float(np.asarray(cfg.variable_shift, dtype=float))
-    scale = np.power(float(cfg.n_steps), wf._weights_arr / 2.0)
+    scale = np.power(float(cfg.n_steps), wf.weights_array / 2.0)
     prod = wf.adapted_algebra.product_map()
     return prod(shift[None, :], (-scale * y_ad)[None, :])[0]
 
@@ -132,35 +132,45 @@ def recentering_vector_adapted(cfg: WalkConfig) -> np.ndarray:
 # -- core streams --------------------------------------------------------------------
 
 
-def _fold_chunk(cfg: WalkConfig, rng: np.random.Generator, m: int,
-                product: Callable, shift: np.ndarray) -> np.ndarray:
+def _fold_chunk(cfg: WalkConfig, rng: np.random.Generator, m: int, product: Callable,
+                shift: np.ndarray, truncs: Optional[Sequence[TruncatedMeasure]] = None
+                ) -> tuple[np.ndarray, int]:
+    """(products, clipped increments) of one chunk; ``truncs`` clips step k by truncs[k]."""
     wf = cfg.filtration
     s = np.zeros((m, wf.algebra.dim))
-    for _ in range(cfg.n_steps):
+    clipped = 0
+    for k in range(cfg.n_steps):
         x = wf.to_adapted_float(cfg.measure.sample(rng, m))
+        if truncs is not None:
+            x, altered = truncs[k].clip(x)
+            clipped += int(altered.sum())
         s = product(s, x)
     if np.any(shift):
         s = product(s, shift[None, :])
-    return s
+    return s, clipped
+
+
+def _folded_chunks(cfg: WalkConfig, truncs: Optional[Sequence[TruncatedMeasure]] = None
+                   ) -> Iterator[tuple[np.ndarray, int]]:
+    """The one chunk runner: _fold_chunk over the chunk plan, merged in chunk order."""
+    product = cfg.filtration.adapted_algebra.product_map()
+    shift = recentering_vector_adapted(cfg)
+    jobs = list(zip(cfg.chunk_plan(), cfg.chunk_streams()))
+    if cfg.workers <= 1:
+        for m, rng in jobs:
+            yield _fold_chunk(cfg, rng, m, product, shift, truncs)
+        return
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        futures = [pool.submit(_fold_chunk, cfg, rng, m, product, shift, truncs)
+                   for m, rng in jobs]
+        for fut in futures:  # chunk order, not completion order
+            yield fut.result()
 
 
 def product_stream(cfg: WalkConfig) -> Iterator[np.ndarray]:
     """Chunks of recentered product samples in adapted coordinates."""
-    product = cfg.filtration.adapted_algebra.product_map()
-    shift = recentering_vector_adapted(cfg)
-    plan = cfg.chunk_plan()
-    streams = cfg.chunk_streams()
-    if cfg.workers <= 1:
-        for m, rng in zip(plan, streams):
-            yield _fold_chunk(cfg, rng, m, product, shift)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [
-                pool.submit(_fold_chunk, cfg, rng, m, product, shift)
-                for m, rng in zip(plan, streams)
-            ]
-            for fut in futures:  # chunk order, not completion order
-                yield fut.result()
+    for s, _ in _folded_chunks(cfg):
+        yield s
 
 
 def run_products(cfg: WalkConfig) -> np.ndarray:
@@ -192,122 +202,46 @@ def truncation_schedule(n_steps: int, gamma0: float, step: int) -> list[tuple[in
     return levels
 
 
-@dataclass
-class LiftedTruncation:
-    """Layer clipping of the drift-lifted law, on adapted base coordinates.
-
-    A lifted increment is the pair (x, t=1): the extra coordinate is
-    central, carries weight 2, and the lifted first layer is x^(1) - t X.
-    Clipping therefore acts on (adapted x, t) directly; the base part of a
-    product of unclipped increments coincides bit for bit with the plain
-    walk's fold.
-    """
-
-    filtration: WeightFiltration
-    level: int
-    c_layer1: np.ndarray   # recentering constant for the lifted first layer
-    drift_layer1: np.ndarray
-    trivial: bool          # zero drift: the extension is the identity
-
-    def clip(self, coords: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Apply the layer rule to (M, d) adapted coords with lift weight t.
-
-        All clip decisions use the original layers (the rule acts on each
-        layer of the decomposed element independently); writes happen
-        afterwards, lift weight first, since the first layer of a clipped
-        element is reconstructed as t*X + c.
-        """
-        wf = self.filtration
-        out = np.array(coords, copy=True)
-        t_out = np.array(t, copy=True)
-        altered = np.zeros(coords.shape[0], dtype=bool)
-        bads: dict[int, np.ndarray] = {}
-        for b in range(1, wf.max_weight + 1):
-            idx = np.flatnonzero(wf.layer_mask(b))
-            if b == 1 and not self.trivial:
-                block = coords[:, idx] - np.asarray(t)[:, None] * self.drift_layer1
-                norms = np.linalg.norm(block, axis=-1)
-            elif b == 2 and not self.trivial:
-                sq = np.asarray(t) ** 2
-                if idx.size:
-                    sq = sq + (coords[:, idx] ** 2).sum(axis=-1)
-                norms = np.sqrt(sq)
-            elif idx.size:
-                norms = np.linalg.norm(coords[:, idx], axis=-1)
-            else:
-                continue
-            bad = norms > float(self.level) ** (b / 2.0)
-            if bad.any():
-                bads[b] = bad
-                altered |= bad
-        if not self.trivial and 2 in bads:
-            t_out[bads[2]] = 0.0
-        for b, bad in bads.items():
-            idx = np.flatnonzero(wf.layer_mask(b))
-            if b == 1:
-                if self.trivial:
-                    out[np.ix_(bad, idx)] = self.c_layer1
-                else:
-                    out[np.ix_(bad, idx)] = t_out[bad, None] * self.drift_layer1 + self.c_layer1
-            elif idx.size:
-                out[np.ix_(bad, idx)] = 0.0
-        return out, t_out, altered
+_LIFT_MC_SAMPLES = 100_000  # samples behind each level's recentering constant
+_LIFT_SEED_SALT = 977       # keeps that stream apart from the chunk streams
 
 
-def lifted_truncation(cfg: WalkConfig, level: int, mc_samples: int = 100_000,
-                      seed_salt: int = 977) -> LiftedTruncation:
-    """Truncation of the lifted law at the given level.
+def lifted_truncation(cfg: WalkConfig, level: int) -> TruncatedMeasure:
+    """Truncation of the drift-lifted law at the given level.
 
-    The recentering constant follows the same conditional-mean formula as
-    the plain truncation, applied to the lifted first layer x^(1) - X;
-    estimated by Monte Carlo on a dedicated deterministic stream.
+    The recentering constant is the plain truncation's, taken on the lifted
+    first layer x^(1) - X and estimated by Monte Carlo on a dedicated
+    deterministic stream.  Zero drift gives the plain truncation's rule.
     """
     wf = cfg.filtration
-    x_full = drift_vector_adapted(cfg)
-    idx1 = np.flatnonzero(wf.layer_mask(1))
-    x1 = x_full[idx1]
-    trivial = not np.any(x1)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, seed_salt, level]))
-    xs = wf.to_adapted_float(cfg.measure.sample(rng, mc_samples))
-    layer1 = xs[:, idx1] - (0.0 if trivial else x1)
-    norms = np.linalg.norm(layer1, axis=1)
-    bad = norms > math.sqrt(level)
-    p = float(bad.mean())
-    if p == 0.0:
-        c = np.zeros(idx1.size)
-    else:
-        c = -layer1[~bad].sum(axis=0) / mc_samples / p
-    return LiftedTruncation(filtration=wf, level=level, c_layer1=c,
-                            drift_layer1=x1, trivial=trivial)
+    idx1 = wf.layer_indices(1)
+    x1 = drift_vector_adapted(cfg)[idx1]
+    drift = x1 if np.any(x1) else None
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _LIFT_SEED_SALT, level]))
+    layer1 = wf.to_adapted_float(cfg.measure.sample(rng, _LIFT_MC_SAMPLES))[:, idx1]
+    if drift is not None:
+        layer1 = layer1 - drift
+    c, p_exceed = recentering_constant(layer1, level)
+    return TruncatedMeasure(base=cfg.measure, filtration=wf, level=level, c_vector_adapted=c,
+                            exceed_probability=p_exceed, drift_layer1=drift)
 
 
 def gradual_truncation_stream(cfg: WalkConfig, gamma0: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Chunks of (samples, altered counts) for the gradually truncated walk.
 
-    Yields samples in adapted base coordinates (already projected back from
-    the drift extension, which for the base part is a no-op) and, per
-    chunk, the number of increments the clip actually changed.  Uses the
-    same per-chunk rng layout as the plain stream: with a compactly
+    Runs on the plain walk's chunk runner, with each step's increment
+    clipped by the lifted truncation of its schedule level.  Samples are in
+    adapted base coordinates (projecting back from the drift extension is a
+    no-op on the base part), recentered like the plain walk's; each chunk
+    also reports how many increments the clip changed.  With a compactly
     supported law and N past the squared support radius the two streams
-    produce identical paths, bit for bit.
+    coincide, bit for bit.
     """
-    wf = cfg.filtration
-    schedule = truncation_schedule(cfg.n_steps, gamma0, wf.algebra.step)
-    truncs = [lifted_truncation(cfg, level) for level, _ in schedule]
-    product = wf.adapted_algebra.product_map()
-    plan = cfg.chunk_plan()
-    streams = cfg.chunk_streams()
-    for m, rng in zip(plan, streams):
-        s = np.zeros((m, wf.algebra.dim))
-        altered_count = 0
-        ones = np.ones(m)
-        for (level, count), trunc in zip(schedule, truncs):
-            for _ in range(count):
-                raw = wf.to_adapted_float(cfg.measure.sample(rng, m))
-                clipped, _t, altered = trunc.clip(raw, ones)
-                altered_count += int(altered.sum())
-                s = product(s, clipped)
-        yield s, np.array([altered_count])
+    truncs: list[TruncatedMeasure] = []
+    for level, count in truncation_schedule(cfg.n_steps, gamma0, cfg.algebra.step):
+        truncs += [lifted_truncation(cfg, level)] * count
+    for s, clipped in _folded_chunks(cfg, truncs):
+        yield s, np.array([clipped])
 
 
 # -- deviation sets -----------------------------------------------------------------
@@ -438,7 +372,7 @@ def clt_experiment(cfg: WalkConfig, histogram_bins: int = 0,
     t0 = time.time()
     wf = cfg.filtration
     d = wf.algebra.dim
-    scale = np.power(float(cfg.n_steps), -wf._weights_arr / 2.0)
+    scale = np.power(float(cfg.n_steps), -wf.weights_array / 2.0)
     total = np.zeros(d)
     total2 = np.zeros((d, d))
     count = 0
@@ -508,7 +442,7 @@ def ratio_experiment(cfg: WalkConfig, box: Sequence[tuple[float, float]],
     m_walk = cfg.n_replicas
     p_walk = hits_walk / m_walk
 
-    dil = np.power(float(cfg.n_steps), wf._weights_arr / 2.0)
+    dil = np.power(float(cfg.n_steps), wf.weights_array / 2.0)
     scaled = nu_samples_adapted * dil
     hits_nu = int(inside(wf.from_adapted_float(translate(scaled))).sum())
     m_nu = scaled.shape[0]
@@ -579,7 +513,7 @@ def pixel_experiment(cfg: WalkConfig, nu_samples_adapted: np.ndarray,
         count += chunk.shape[0]
     walk_means = sums / count
 
-    dil = np.power(float(cfg.n_steps), wf._weights_arr / 2.0)
+    dil = np.power(float(cfg.n_steps), wf.weights_array / 2.0)
     prod = wf.adapted_algebra.product_map()
     shift = cfg.n_steps * drift_vector_adapted(cfg)
     z = nu_samples_adapted * dil

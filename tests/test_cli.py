@@ -108,6 +108,22 @@ def test_walk_theta(tmp_path, heis_config, capsys):
     assert main(["walk", "theta", "--config", str(heis_config)]) == 0
 
 
+def test_walk_theta_worker_count_does_not_change_output(tmp_path, heis_config):
+    """260 000 replicas make two chunks of the fixed 250 000-row plan."""
+    cfg = json.loads(heis_config.read_text()) | {"M": 260_000, "N": 4}
+    heis_config.write_text(json.dumps(cfg))
+    bodies, runs = [], []
+    for workers in ("1", "2"):
+        out = tmp_path / f"theta{workers}.csv"
+        assert main(["--workers", workers, "walk", "theta", "--config", str(heis_config),
+                     "--out", str(out)]) == 0
+        bodies.append(read_body(out))
+        run = json.loads((tmp_path / f"theta{workers}_summary.json").read_text())["runs"][0]
+        runs.append((run["altered_fraction"], run["mean_adapted"], run["var_adapted"]))
+    assert bodies[0] == bodies[1]
+    assert runs[0] == runs[1] and runs[0][0] > 0
+
+
 @pytest.mark.parametrize("mode", ["llt", "clt", "theta"])
 def test_configured_check_fails_in_every_mode(tmp_path, heis_config, mode):
     cfg = json.loads(heis_config.read_text())

@@ -324,5 +324,5 @@ def test_float_basis_change_skipped_only_for_identity_basis():
     drifted = WeightFiltration(free_nilpotent(2, 3), [1, 0, 0, 0, 0])
     assert [list(r) for r in drifted.adapted_rows] != np.eye(5).tolist()
     ad = drifted.to_adapted_float(x)
-    assert ad is not x and np.array_equal(ad, x @ drifted._Ainv)
+    assert ad is not x and np.array_equal(ad, x @ drifted.adapted_inv_array)
     assert np.allclose(drifted.from_adapted_float(ad), x, atol=1e-12)

@@ -123,7 +123,7 @@ def test_dilation_self_similarity(heis_centered, heis_spec, heis_limit_samples):
     # dilated limit samples match an independent run in distribution
     other = simulate_limit(heis_spec, np.random.default_rng(12), 100_000)
     n_steps = 9.0
-    dil = np.power(n_steps, heis_centered._weights_arr / 2.0)
+    dil = np.power(n_steps, heis_centered.weights_array / 2.0)
     a = heis_limit_samples * dil
     b = other * dil
     critical = 1.63 * math.sqrt(2 / 100_000)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from nilwalk.algebra import abelian, heisenberg3
+from nilwalk.algebra import abelian, free_nilpotent, heisenberg3
 from nilwalk.filtration import WeightFiltration
 from nilwalk.measures import (
     AffineImage,
@@ -13,6 +13,7 @@ from nilwalk.measures import (
     Dirac1D,
     Gaussian1D,
     ProductMeasure,
+    TruncatedMeasure,
     TwoPoint1D,
     Uniform1D,
     aperiodicity_scan,
@@ -119,6 +120,52 @@ def test_truncation_map_matches_atom_transform(heis, heis_centered):
     expected = np.array([[float(c) for c in heis_centered.to_adapted(p)]
                          for p in truncated_atoms(tm).points])
     assert np.allclose(clipped, expected)
+
+
+def test_clip_rule_on_hand_built_rows():
+    """One rule with and without the drift lift, on free-nilpotent(3,2) with
+    drift e1: layers (1, 1, 1, 2, 3, 3), level 4, so the radii are 2, 4, 8."""
+    alg = free_nilpotent(3, 2)
+    wf = WeightFiltration(alg, [1, 0, 0, 0, 0, 0])
+    assert wf.weights == (1, 1, 1, 2, 3, 3)
+    base = ProductMeasure(alg, [Dirac1D()] * alg.dim)
+    drift = np.array([1.0, 0.0, 0.0])
+    c = np.array([0.25, -0.5, 0.125])
+    rows = np.array([
+        [1.5, 0.0, 0.0, 1.0, 1.0, 1.0],  # nothing exceeds, lifted or not
+        [4.0, 0.0, 0.0, 1.0, 1.0, 1.0],  # layer 1 only
+        [0.0, 3.0, 0.0, 5.0, 1.0, 1.0],  # layers 1 and 2
+        [0.5, 0.0, 0.0, 3.9, 1.0, 1.0],  # 15 < |x2|^2 <= 16: sqrt(1 + |x2|^2) > 4
+        [0.5, 0.0, 0.0, 1.0, 9.0, 0.0],  # layer 3 only
+    ])
+    lifted = TruncatedMeasure(base, wf, 4, c, drift_layer1=drift)
+    plain = TruncatedMeasure(base, wf, 4, c)
+
+    quiet = rows[:1]
+    for tm in (lifted, plain):
+        out, altered = tm.clip(quiet)
+        assert out is quiet
+        assert np.array_equal(altered, [False])
+
+    out, altered = lifted.clip(rows)
+    assert np.array_equal(altered, [False, True, True, True, True])
+    expected = rows.copy()
+    expected[1, :3] = drift + c          # t = 1: X + c
+    expected[2, :3] = c                  # layer 2 clipped too, so t = 0
+    expected[2, 3] = 0.0
+    expected[3, 3] = 0.0
+    expected[4, 4:] = 0.0
+    assert np.array_equal(out, expected)
+
+    out, altered = plain.clip(rows)
+    assert np.array_equal(altered, [False, True, True, False, True])
+    expected = rows.copy()
+    expected[1, :3] = c
+    expected[2, :3] = c
+    expected[2, 3] = 0.0
+    expected[4, 4:] = 0.0
+    assert np.array_equal(out, expected)
+    assert np.array_equal(plain.apply_map_adapted(rows), out)
 
 
 # -- weight-layer moments ----------------------------------------------------------

@@ -134,6 +134,19 @@ def test_theta_with_drift_matches_plain_for_compact_support(heis):
     assert np.array_equal(plain, theta)
 
 
+def test_theta_runs_on_the_plain_engine_with_recentering_and_workers(heis):
+    """Compact support: every increment passes the clip untouched, so the
+    truncated stream equals the plain one under mean recentering, on two
+    workers and over several chunks."""
+    wf = WeightFiltration(heis, [1, 0, 0])
+    mu = AtomicMeasure(heis, [(1, 1, 0), (1, -1, 0), (1, 0, 1)], [F(1, 3)] * 3)
+    cfg = WalkConfig(wf, mu, 30, 2_000, seed=13, recenter="mean", chunk_size=700, workers=2)
+    plain = np.concatenate(list(product_stream(cfg)), axis=0)
+    chunks = list(gradual_truncation_stream(cfg, 0.2))
+    assert len(chunks) == 3 and all(int(n[0]) == 0 for _, n in chunks)
+    assert np.array_equal(plain, np.concatenate([s for s, _ in chunks], axis=0))
+
+
 def test_theta_moments_equal_plain_walk_on_non_identity_basis():
     """free-nilpotent(2,3) with drift e1: the adapted basis is not the identity
     (it swaps coordinates 4 and 5), so theta's moments must not be converted
@@ -224,7 +237,7 @@ def test_ratio_consistent_at_identity(heis_centered, heis_gauss):
     cfg_num = WalkConfig(heis_centered, heis_gauss, 64, 60_000, seed=8)
     cfg_den = WalkConfig(heis_centered, heis_gauss, 64, 60_000, seed=1008)
     den = np.concatenate(list(product_stream(cfg_den)), axis=0)
-    scale = np.power(64.0, -heis_centered._weights_arr / 2.0)
+    scale = np.power(64.0, -heis_centered.weights_array / 2.0)
     res = ratio_experiment(cfg_num, [(-2.0, 2.0), (-2.0, 2.0), (-4.0, 4.0)],
                            den * scale)
     assert abs(res.estimate - 1.0) <= 4 * res.stderr
