@@ -109,13 +109,6 @@ class NilpotentAlgebra:
 
     # -- construction helpers -------------------------------------------
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self.table.get((i, j), {}).get(k, Fraction(0))
-        return -self.table.get((j, i), {}).get(k, Fraction(0))
-
     def zero_vector(self) -> ExactVector:
         return tuple(Fraction(0) for _ in range(self.dim))
 

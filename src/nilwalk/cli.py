@@ -14,11 +14,18 @@ Exit codes: 0 success (and all configured checks passed), 2 parse error,
 3 validation error, 4 term-budget exceeded.  Identical config and seed
 give byte-identical CSV bodies; the single '#' header line carries the
 timestamp and is excluded from diffs.
+
+``walk`` is driven by the ``WALK_MODES`` table: every mode runs one
+experiment per N of the grid, each returning an ``ExperimentResult`` that
+gives one CSV row and one summary entry, and a configured check
+(``params.checks``: target, relative_tolerance) applies
+``ExperimentResult.within`` to every run.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -26,25 +33,20 @@ from fractions import Fraction
 import numpy as np
 
 from . import freealg, pathswap
-from .algebra import builtin_algebra
 from .config import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
-    canonical_digest,
     parse_algebra,
     write_csv,
     write_summary,
 )
 from .filtration import WeightFiltration
-from .fourier import (
-    FrequencyPoint,
-    log_frequency_grid,
-    reduced_domain_scan,
-)
+from .fourier import log_frequency_grid, reduced_domain_scan
 from .limitlaw import DiffusionSpec, kde_density, levy_area_reference, simulate_limit
 from .nilmanifold import cesaro_equidistribution
 from .walks import (
+    ExperimentResult,
     WalkConfig,
     clt_experiment,
     llt_box_experiment,
@@ -61,19 +63,6 @@ EXIT_BUDGET = 4
 
 def _parse_coords(text: str) -> list[Fraction]:
     return [Fraction(t) for t in text.replace(" ", "").split(",") if t]
-
-
-def _walk_config(cfg: ExperimentConfig, n_steps: int, args) -> WalkConfig:
-    return WalkConfig(
-        filtration=cfg.filtration,
-        measure=cfg.measure,
-        n_steps=n_steps,
-        n_replicas=cfg.n_replicas,
-        seed=cfg.seed,
-        recenter=cfg.params.get("recenter", "mean"),
-        variable_shift=cfg.params.get("Y"),
-        workers=args.workers,
-    )
 
 
 def cmd_algebra_check(args) -> int:
@@ -162,74 +151,72 @@ def cmd_pathswap_verify(args) -> int:
     return EXIT_OK if (ok1 and ok2 and ok3) else 1
 
 
+def _box(params: dict, dim: int, half: float) -> list[tuple]:
+    return [tuple(b) for b in params.get("box", [[-half, half]] * dim)]
+
+
+# mode -> (keeps the configured recentering, needs the limit-law bank, runner);
+# a runner maps (walk config, params, bank, digest) to an ExperimentResult
+WALK_MODES = {
+    "llt": (True, False, lambda w, p, nu, d: llt_box_experiment(
+        w, _box(p, w.algebra.dim, 0.5), config_digest=d)),
+    "clt": (True, False, lambda w, p, nu, d: clt_experiment(
+        w, histogram_bins=int(p.get("histogram_bins", 0)), config_digest=d)),
+    "ratio": (False, True, lambda w, p, nu, d: ratio_experiment(
+        w, _box(p, w.algebra.dim, 2.0), nu, g=p.get("g"), h=p.get("h"), config_digest=d)),
+    "pixel": (False, True, lambda w, p, nu, d: pixel_experiment(w, nu, config_digest=d)),
+    "theta": (False, False, lambda w, p, nu, d: theta_experiment(
+        w, float(p.get("gamma0", 0.2)), config_digest=d)),
+}
+
+
 def cmd_walk(args) -> int:
     cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed)
-    params, dim = cfg.params, cfg.algebra.dim
-    if args.mode in ("ratio", "pixel"):
+    params = cfg.params
+    recentered, needs_bank, run = WALK_MODES[args.mode]
+    nu = None
+    if needs_bank:
         # the limit-law bank does not depend on N: one bank serves the whole grid
         spec = DiffusionSpec.from_measure(cfg.filtration, cfg.measure,
                                           n_time_steps=int(params.get("diffusion_steps", 512)))
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
         nu = simulate_limit(spec, rng, int(params.get("nu_samples", cfg.n_replicas)))
-    rows = []
-    summary: dict = {"experiment": args.mode, "config_digest": cfg.digest, "runs": []}
+    results = []
     for n in cfg.n_grid:
-        wcfg = _walk_config(cfg, n, args)
-        raw = WalkConfig(cfg.filtration, cfg.measure, n, cfg.n_replicas, seed=cfg.seed,
-                         recenter="none", workers=args.workers)
-        if args.mode in ("llt", "ratio"):
-            if args.mode == "llt":
-                box = [tuple(b) for b in params.get("box", [[-0.5, 0.5]] * dim)]
-                res = llt_box_experiment(wcfg, box, config_digest=cfg.digest)
-            else:
-                box = [tuple(b) for b in params.get("box", [[-2.0, 2.0]] * dim)]
-                res = ratio_experiment(raw, box, nu, g=params.get("g"), h=params.get("h"),
-                                       config_digest=cfg.digest)
-            rows.append(res.csv_row())
-            summary["runs"].append(res.__dict__ | {"extra": res.extra})
-            continue
-        if args.mode == "clt":
-            rep = clt_experiment(wcfg, histogram_bins=int(params.get("histogram_bins", 0)),
-                                 config_digest=cfg.digest)
-            est, se, target = rep["layer_cov"][1][0][0], rep["moment_stderr"], ""
-        elif args.mode == "pixel":
-            rep = pixel_experiment(raw, nu, config_digest=cfg.digest)
-            est, se, target = rep["max_gap"], rep["noise_scale"], 0.0
-        elif args.mode == "theta":
-            rep = theta_experiment(raw, float(params.get("gamma0", 0.2)), config_digest=cfg.digest)
-            est, se, target = rep["altered_fraction"], 0.0, ""
-        else:
-            raise ConfigError(f"unknown walk mode {args.mode}")
-        rows.append({"experiment": args.mode, "N": n, "M": cfg.n_replicas, "estimate": est,
-                     "stderr": se, "target": target, "seed": cfg.seed,
-                     "config_digest": cfg.digest})
-        summary["runs"].append(rep)
+        # built as configured in every mode, so a bad recenter / Y fails everywhere
+        wcfg = WalkConfig(cfg.filtration, cfg.measure, n, cfg.n_replicas, seed=cfg.seed,
+                          recenter=params.get("recenter", "mean"),
+                          variable_shift=params.get("Y"), workers=args.workers)
+        if not recentered:
+            wcfg = dataclasses.replace(wcfg, recenter="none")
+        results.append(run(wcfg, params, nu, cfg.digest))
+    rows = [res.csv_row() for res in results]
     if args.out:
         write_csv(args.out, rows)
-        write_summary(args.out.rsplit(".", 1)[0] + "_summary.json", summary)
+        write_summary(args.out.rsplit(".", 1)[0] + "_summary.json",
+                      {"experiment": args.mode, "config_digest": cfg.digest,
+                       "runs": [res.summary() for res in results]})
     else:
         for row in rows:
             print(",".join(str(row.get(c, "")) for c in CSV_COLUMNS))
-    checks = cfg.params.get("checks", {})
-    failed = _apply_checks(rows, checks)
+    failed = _apply_checks(results, params.get("checks", {}))
     for line in failed:
         print(line, file=sys.stderr)
     return EXIT_OK if not failed else 1
 
 
-def _apply_checks(rows: list[dict], checks: dict) -> list[str]:
-    """Configured target checks on the CSV rows, which every mode writes."""
-    failed = []
+def _apply_checks(results: list[ExperimentResult], checks: dict) -> list[str]:
+    """The configured target check, ExperimentResult.within, on every run."""
     tol = checks.get("relative_tolerance")
     target = checks.get("target")
-    if tol is not None and target is not None:
-        for row in rows:
-            est, se = float(row["estimate"]), float(row["stderr"])
-            allow = max(3.0 * se, float(tol) * abs(float(target)))
-            if abs(est - float(target)) > allow:
-                failed.append(
-                    f"check failed: estimate {est} vs target {target} (allow {allow:.4g})"
-                )
+    if tol is None or target is None:
+        return []
+    failed = []
+    for res in results:
+        res = dataclasses.replace(res, target=float(target))
+        if not res.within(float(tol)):
+            failed.append(f"check failed: estimate {res.estimate} vs target {target} "
+                          f"(allow {res.allowance(float(tol)):.4g})")
     return failed
 
 
@@ -329,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     psv.set_defaults(func=cmd_pathswap_verify)
 
     pw = sub.add_parser("walk")
-    pw.add_argument("mode", choices=["llt", "clt", "ratio", "pixel", "theta"])
+    pw.add_argument("mode", choices=list(WALK_MODES))
     pw.add_argument("--config", required=True)
     pw.add_argument("--seed", type=int)
     pw.add_argument("--out")

@@ -185,9 +185,6 @@ class PiecewiseLinear:
                 total += 0.5 * abs(ya) * (t - a) + 0.5 * abs(yb) * (b - t)
         return total
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.ys)))
-
     def lipschitz(self) -> float:
         return max(
             abs(self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i])

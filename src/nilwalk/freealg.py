@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 Word = bytes
 
@@ -33,10 +33,6 @@ DEFAULT_TERM_BUDGET = 10_000_000
 
 class BudgetExceeded(RuntimeError):
     """Raised when a symbolic computation would exceed the configured term budget."""
-
-
-def word_support(w: Word) -> frozenset[int]:
-    return frozenset(w)
 
 
 def estimated_word_count(n_letters: int, max_len: int) -> int:
@@ -81,22 +77,6 @@ class FreePoly:
         if not 0 <= i < n_letters:
             raise ValueError(f"letter index {i} out of range")
         return cls(n_letters, max_len, {bytes([i]): Fraction(1)})
-
-    @classmethod
-    def from_terms(cls, n_letters: int, max_len: int, items: Iterable[tuple[Word, Fraction]]) -> "FreePoly":
-        d: dict[Word, Fraction] = {}
-        for w, c in items:
-            if len(w) > max_len:
-                continue
-            c = Fraction(c)
-            if c == 0:
-                continue
-            nc = d.get(w, Fraction(0)) + c
-            if nc:
-                d[w] = nc
-            else:
-                d.pop(w, None)
-        return cls(n_letters, max_len, d)
 
     def copy(self) -> "FreePoly":
         return FreePoly(self.n_letters, self.max_len, dict(self.terms))
@@ -180,9 +160,6 @@ class FreePoly:
     def degree_part(self, r: int) -> "FreePoly":
         """Part spanned by words of length exactly r."""
         return FreePoly(self.n_letters, self.max_len, {w: c for w, c in self.terms.items() if len(w) == r})
-
-    def degree_at_most(self, r: int) -> "FreePoly":
-        return FreePoly(self.n_letters, self.max_len, {w: c for w, c in self.terms.items() if len(w) <= r})
 
     def support_part(self, letters: Iterable[int]) -> "FreePoly":
         """Part spanned by words whose support is exactly the given set."""

@@ -24,15 +24,6 @@ def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Sequence[Fraction]) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-
 def is_zero_vec(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 

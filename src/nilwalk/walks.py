@@ -15,12 +15,19 @@ differs from the plain one only in that each increment first passes the
 ``measures.TruncatedMeasure`` clip of its schedule level, lifted to the
 drift extension; chunk plan, streams, workers and recentering are shared,
 so for compactly supported laws and large N the two coincide bit for bit.
+With several workers at most ``workers`` chunks are in flight at a time.
+
+Every experiment returns one ``ExperimentResult``: an estimate, its
+standard error and an optional target, with the experiment's own values
+in ``extra``.  ``csv_row`` and ``summary`` write it out, and ``within``
+holds the noise-aware acceptance rule.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -35,6 +42,9 @@ from .measures import Measure, TruncatedMeasure, recentering_constant
 
 @dataclass
 class ExperimentResult:
+    """One Monte Carlo estimate with its standard error and target; the
+    experiment's own values (moments, hit counts, gaps) go in ``extra``."""
+
     experiment: str
     n_steps: int
     n_replicas: int
@@ -58,13 +68,20 @@ class ExperimentResult:
             "config_digest": self.config_digest,
         }
 
+    def summary(self) -> dict:
+        """The run's summary-JSON entry: the record's fields, ``N`` and ``M``,
+        and ``extra`` both nested and spread at the top level."""
+        return self.extra | vars(self) | {"N": self.n_steps, "M": self.n_replicas}
+
+    def allowance(self, rel_tol: float, sigmas: float = 3.0) -> float:
+        """max(sigmas * stderr, rel_tol * |target|)."""
+        return max(sigmas * self.stderr, rel_tol * abs(self.target))
+
     def within(self, rel_tol: float, sigmas: float = 3.0) -> bool:
-        """Noise-aware acceptance rule: |estimate - target| within
-        max(sigmas * stderr, rel_tol * |target|)."""
+        """Noise-aware acceptance rule: |estimate - target| <= allowance."""
         if self.target is None:
             raise ValueError("no target recorded")
-        allow = max(sigmas * self.stderr, rel_tol * abs(self.target))
-        return abs(self.estimate - self.target) <= allow
+        return abs(self.estimate - self.target) <= self.allowance(rel_tol, sigmas)
 
 
 # -- configuration ----------------------------------------------------------------
@@ -161,10 +178,14 @@ def _folded_chunks(cfg: WalkConfig, truncs: Optional[Sequence[TruncatedMeasure]]
             yield _fold_chunk(cfg, rng, m, product, shift, truncs)
         return
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = [pool.submit(_fold_chunk, cfg, rng, m, product, shift, truncs)
-                   for m, rng in jobs]
-        for fut in futures:  # chunk order, not completion order
-            yield fut.result()
+        # at most `workers` chunks in flight; yielded in chunk order, not completion order
+        pending = deque()
+        for m, rng in jobs:
+            pending.append(pool.submit(_fold_chunk, cfg, rng, m, product, shift, truncs))
+            if len(pending) == cfg.workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def product_stream(cfg: WalkConfig) -> Iterator[np.ndarray]:
@@ -363,11 +384,13 @@ def llt_box_experiment(cfg: WalkConfig, box: Sequence[tuple[float, float]],
 
 
 def clt_experiment(cfg: WalkConfig, histogram_bins: int = 0,
-                   config_digest: str = "") -> dict:
+                   config_digest: str = "") -> ExperimentResult:
     """Rescale products by D_(1/sqrt N) and report per-layer moments.
 
-    Returns empirical mean and covariance in adapted coordinates, the
-    per-layer covariance blocks, and optional per-coordinate histograms.
+    The estimate is the first layer-1 variance, with stderr 1/sqrt(M).
+    ``extra`` holds the empirical mean and covariance in adapted
+    coordinates, the per-layer covariance blocks, and optional
+    per-coordinate histograms.
     """
     t0 = time.time()
     wf = cfg.filtration
@@ -393,22 +416,17 @@ def clt_experiment(cfg: WalkConfig, histogram_bins: int = 0,
         idx = wf.layer_indices(b)
         if idx:
             layers[b] = cov[np.ix_(idx, idx)].tolist()
-    out = {
-        "experiment": "clt",
-        "N": cfg.n_steps,
-        "M": cfg.n_replicas,
-        "mean_adapted": mean.tolist(),
-        "cov_adapted": cov.tolist(),
-        "layer_cov": layers,
-        "moment_stderr": float(1.0 / math.sqrt(count)),
-        "seed": cfg.seed,
-        "config_digest": config_digest,
-        "wall_time": time.time() - t0,
-    }
+    se = 1.0 / math.sqrt(count)
+    extra = {"mean_adapted": mean.tolist(), "cov_adapted": cov.tolist(), "layer_cov": layers,
+             "moment_stderr": se}
     if histogram_bins:
-        out["histogram_edges"] = edges.tolist()
-        out["histograms"] = hists.tolist()
-    return out
+        extra["histogram_edges"] = edges.tolist()
+        extra["histograms"] = hists.tolist()
+    return ExperimentResult(
+        experiment="clt", n_steps=cfg.n_steps, n_replicas=cfg.n_replicas,
+        estimate=layers[1][0][0], stderr=se, seed=cfg.seed, config_digest=config_digest,
+        wall_time=time.time() - t0, extra=extra,
+    )
 
 
 def ratio_experiment(cfg: WalkConfig, box: Sequence[tuple[float, float]],
@@ -491,11 +509,12 @@ def lipschitz_family(filtration: WeightFiltration, count: int, seed: int) -> lis
 
 def pixel_experiment(cfg: WalkConfig, nu_samples_adapted: np.ndarray,
                      tests: Optional[list[tuple[str, Callable]]] = None,
-                     config_digest: str = "") -> dict:
+                     config_digest: str = "") -> ExperimentResult:
     """Gap between walk and dilated-limit expectations of Lipschitz tests.
 
     The limit side evaluates F on D_sqrt(N)(limit sample) * N X, matching
-    the walk without recentering.
+    the walk without recentering.  The estimate is the largest gap, against
+    target 0, with the noise scale 1/sqrt(M) + 1/sqrt(bank size) as stderr.
     """
     t0 = time.time()
     wf = cfg.filtration
@@ -524,24 +543,27 @@ def pixel_experiment(cfg: WalkConfig, nu_samples_adapted: np.ndarray,
 
     gaps = np.abs(walk_means - nu_means)
     noise = 1.0 / math.sqrt(count) + 1.0 / math.sqrt(z.shape[0])
-    return {
-        "experiment": "pixel",
-        "N": cfg.n_steps,
-        "M": cfg.n_replicas,
-        "tests": [name for name, _ in tests],
-        "walk_means": walk_means.tolist(),
-        "limit_means": nu_means.tolist(),
-        "gaps": gaps.tolist(),
-        "max_gap": float(gaps.max()),
-        "noise_scale": noise,
-        "seed": cfg.seed,
-        "config_digest": config_digest,
-        "wall_time": time.time() - t0,
-    }
+    max_gap = float(gaps.max())
+    return ExperimentResult(
+        experiment="pixel", n_steps=cfg.n_steps, n_replicas=cfg.n_replicas,
+        estimate=max_gap, stderr=noise, target=0.0, seed=cfg.seed,
+        config_digest=config_digest, wall_time=time.time() - t0,
+        extra={"tests": [name for name, _ in tests], "walk_means": walk_means.tolist(),
+               "limit_means": nu_means.tolist(), "gaps": gaps.tolist(), "max_gap": max_gap,
+               "noise_scale": noise},
+    )
 
 
-def theta_experiment(cfg: WalkConfig, gamma0: float, config_digest: str = "") -> dict:
-    """Sample the gradually truncated product and report the clip rate."""
+def theta_experiment(cfg: WalkConfig, gamma0: float,
+                     config_digest: str = "") -> ExperimentResult:
+    """Sample the gradually truncated product and report the clip rate.
+
+    The estimate is the fraction p of the M*N increments that the clip
+    altered, with the pooled binomial stderr sqrt(p(1-p)/(M*N)).  Increments
+    clip independently and p(1-p) is concave, so this bounds the per-level
+    binomial stderr from above.  ``extra`` holds the schedule and the
+    adapted-coordinate moments of the truncated product.
+    """
     t0 = time.time()
     wf = cfg.filtration
     total = np.zeros(wf.algebra.dim)
@@ -555,16 +577,14 @@ def theta_experiment(cfg: WalkConfig, gamma0: float, config_digest: str = "") ->
         count += samples.shape[0]
     mean = total / count
     var = total2 / count - mean**2
-    return {
-        "experiment": "theta",
-        "N": cfg.n_steps,
-        "M": cfg.n_replicas,
-        "gamma0": gamma0,
-        "schedule": truncation_schedule(cfg.n_steps, gamma0, wf.algebra.step),
-        "altered_fraction": altered / (count * cfg.n_steps),
-        "mean_adapted": mean.tolist(),
-        "var_adapted": var.tolist(),
-        "seed": cfg.seed,
-        "config_digest": config_digest,
-        "wall_time": time.time() - t0,
-    }
+    increments = count * cfg.n_steps
+    p = altered / increments
+    return ExperimentResult(
+        experiment="theta", n_steps=cfg.n_steps, n_replicas=cfg.n_replicas,
+        estimate=p, stderr=math.sqrt(p * (1 - p) / increments), seed=cfg.seed,
+        config_digest=config_digest, wall_time=time.time() - t0,
+        extra={"gamma0": gamma0,
+               "schedule": truncation_schedule(cfg.n_steps, gamma0, wf.algebra.step),
+               "altered_fraction": p, "mean_adapted": mean.tolist(),
+               "var_adapted": var.tolist()},
+    )

@@ -259,11 +259,11 @@ def test_04_limit_density_cross_check():
 def test_05_clt_covariance():
     cfg = WalkConfig(CENTERED, GAUSS, n_steps=512, n_replicas=100_000, seed=20240500)
     rep = clt_experiment(cfg)
-    cov1 = np.array(rep["layer_cov"][1])
+    cov1 = np.array(rep.extra["layer_cov"][1])
     dev = np.abs(cov1 - np.eye(2)).max()
     ok_layer1 = dev <= 0.05
 
-    walk_var3 = rep["cov_adapted"][2][2]
+    walk_var3 = rep.extra["cov_adapted"][2][2]
     nu = diffusion_bank()
     nu_var3 = float(nu[:, 2].var())
     ok_var3 = abs(walk_var3 - nu_var3) <= 0.10 * nu_var3

@@ -1,8 +1,11 @@
 import json
+import math
+import threading
 
 import pytest
 
-from nilwalk.cli import main
+from nilwalk import walks
+from nilwalk.cli import WALK_MODES, main
 from nilwalk.config import ConfigError, ExperimentConfig, canonical_digest
 
 
@@ -156,6 +159,92 @@ def test_walk_ratio_builds_one_limit_bank(tmp_path, heis_config, monkeypatch):
                  "--out", str(tmp_path / "ratio.csv")]) == 0
     assert len(calls) == 1
     assert len(read_body(tmp_path / "ratio.csv")) == 1 + 3
+
+
+def test_walk_theta_reports_binomial_stderr(tmp_path, heis_config):
+    """Layer 1 is a standard Gaussian and layer 2 is zero, so an increment at
+    level l clips with probability exp(-l/2) and the true fraction is known."""
+    out = tmp_path / "theta.csv"
+    assert main(["walk", "theta", "--config", str(heis_config), "--out", str(out)]) == 0
+    row = dict(zip(*(line.split(",") for line in read_body(out))))
+    p, increments = float(row["estimate"]), 20_000 * 16
+    assert p > 0
+    assert float(row["stderr"]) == math.sqrt(p * (1 - p) / increments)
+    schedule = walks.truncation_schedule(16, 0.2, 2)
+    true = sum(count * math.exp(-level / 2) for level, count in schedule) / 16
+    cfg = json.loads(heis_config.read_text())
+    cfg["params"]["checks"] = {"target": true, "relative_tolerance": 1e-9}
+    heis_config.write_text(json.dumps(cfg))
+    assert main(["walk", "theta", "--config", str(heis_config), "--out", str(out)]) == 0
+
+
+def test_workers_keep_at_most_workers_chunks_in_flight(tmp_path, heis_config, monkeypatch):
+    """1 000 000 replicas make four chunks of the fixed 250 000-row plan; a
+    chunk is in flight from the start of its fold until the stream yields it."""
+    cfg = json.loads(heis_config.read_text()) | {"M": 1_000_000, "N": 2}
+    heis_config.write_text(json.dumps(cfg))
+    out1, out2 = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert main(["walk", "llt", "--config", str(heis_config), "--out", str(out1)]) == 0
+
+    lock = threading.Lock()
+    count = {"started": 0, "consumed": 0, "peak": 0}
+    fold, stream = walks._fold_chunk, walks.product_stream
+
+    def counted_fold(*args, **kwargs):
+        with lock:
+            count["started"] += 1
+            count["peak"] = max(count["peak"], count["started"] - count["consumed"])
+        return fold(*args, **kwargs)
+
+    def counted_stream(cfg):
+        for chunk in stream(cfg):
+            with lock:
+                count["consumed"] += 1
+            yield chunk
+
+    monkeypatch.setattr(walks, "_fold_chunk", counted_fold)
+    monkeypatch.setattr(walks, "product_stream", counted_stream)
+    assert main(["--workers", "2", "walk", "llt", "--config", str(heis_config),
+                 "--out", str(out2)]) == 0
+    assert count["started"] == count["consumed"] == 4
+    assert count["peak"] <= 2
+    assert read_body(out1) == read_body(out2)
+
+
+@pytest.mark.parametrize("mode, nested, top", [
+    ("llt", ["hits", "per_volume", "per_volume_stderr"], []),
+    ("clt", [], ["mean_adapted", "cov_adapted"]),
+    ("ratio", ["p_nu", "hits_nu"], []),
+    ("pixel", [], []),
+    ("theta", [], ["altered_fraction", "mean_adapted", "var_adapted"]),
+])
+def test_walk_summary_entry_shape(tmp_path, heis_config, mode, nested, top):
+    """The summary keys that downstream readers of the JSON rely on."""
+    assert mode in WALK_MODES
+    cfg = json.loads(heis_config.read_text()) | {"M": 2_000, "N": 4}
+    cfg["params"] |= {"diffusion_steps": 16, "nu_samples": 2_000}
+    heis_config.write_text(json.dumps(cfg))
+    assert main(["walk", mode, "--config", str(heis_config),
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    summary = json.loads((tmp_path / "out_summary.json").read_text())
+    assert summary["experiment"] == mode
+    (run,) = summary["runs"]
+    for key in ("estimate", "stderr"):
+        assert isinstance(run[key], (int, float)) and not isinstance(run[key], bool)
+    assert (run["n_steps"], run["N"], run["M"]) == (4, 4, 2_000)
+    assert "wall_time" in run and isinstance(run["extra"], dict)
+    assert all(key in run["extra"] for key in nested)
+    assert all(key in run for key in top)
+    if mode == "clt":
+        assert "1" in run["layer_cov"]
+
+
+@pytest.mark.parametrize("mode", list(WALK_MODES))
+def test_bad_recentering_is_a_validation_error_in_every_mode(tmp_path, heis_config, mode):
+    cfg = json.loads(heis_config.read_text()) | {"M": 500}
+    cfg["params"] |= {"recenter": "sideways", "diffusion_steps": 4}
+    heis_config.write_text(json.dumps(cfg))
+    assert main(["walk", mode, "--config", str(heis_config)]) == 3
 
 
 def test_walk_parse_error(tmp_path):

@@ -157,19 +157,19 @@ def test_theta_moments_equal_plain_walk_on_non_identity_basis():
     cfg = WalkConfig(wf, mu, 64, 3_000, seed=17)
     theta = theta_experiment(cfg, 0.2)
     plain = clt_experiment(cfg)
-    assert theta["altered_fraction"] == 0.0
+    assert theta.extra["altered_fraction"] == 0.0
     scale = 64.0 ** (-np.array(wf.weights) / 2.0)
-    assert np.allclose(np.array(theta["mean_adapted"]) * scale, plain["mean_adapted"],
-                       rtol=1e-9, atol=1e-12)
-    assert np.allclose(np.array(theta["var_adapted"]) * scale**2,
-                       np.diag(plain["cov_adapted"]), rtol=1e-7, atol=0.0)
+    assert np.allclose(np.array(theta.extra["mean_adapted"]) * scale,
+                       plain.extra["mean_adapted"], rtol=1e-9, atol=1e-12)
+    assert np.allclose(np.array(theta.extra["var_adapted"]) * scale**2,
+                       np.diag(plain.extra["cov_adapted"]), rtol=1e-7, atol=0.0)
 
 
 def test_theta_altered_fraction_decays(heis_centered, heis_gauss):
     fracs = []
     for n in (16, 64, 256):
         cfg = WalkConfig(heis_centered, heis_gauss, n, 2_000, seed=4)
-        fracs.append(theta_experiment(cfg, 0.2)["altered_fraction"])
+        fracs.append(theta_experiment(cfg, 0.2).extra["altered_fraction"])
     assert fracs[0] >= fracs[1] >= fracs[2]
 
 
@@ -223,12 +223,12 @@ def test_llt_far_recentering_kills_mass(heis_centered, heis_gauss):
 def test_clt_moments_shape(heis_centered, heis_gauss):
     cfg = WalkConfig(heis_centered, heis_gauss, 64, 30_000, seed=7)
     rep = clt_experiment(cfg, histogram_bins=20)
-    cov1 = np.array(rep["layer_cov"][1])
+    cov1 = np.array(rep.extra["layer_cov"][1])
     assert cov1.shape == (2, 2)
     assert abs(cov1[0, 0] - 1.0) < 0.05
     assert abs(cov1[1, 1] - 1.0) < 0.05
     assert abs(cov1[0, 1]) < 0.03
-    assert sum(rep["histograms"][0]) <= 30_000
+    assert sum(rep.extra["histograms"][0]) <= 30_000
 
 
 def test_ratio_consistent_at_identity(heis_centered, heis_gauss):
@@ -247,7 +247,7 @@ def test_pixel_constant_function_gap_zero(heis_centered, heis_gauss):
     cfg = WalkConfig(heis_centered, heis_gauss, 16, 5_000, seed=9)
     nu = np.zeros((1000, 3))
     rep = pixel_experiment(cfg, nu, tests=[("const", lambda x: np.ones(x.shape[0]))])
-    assert rep["max_gap"] == 0.0
+    assert rep.extra["max_gap"] == 0.0
 
 
 def test_experiment_result_noise_aware_rule():
