@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -104,8 +106,21 @@ def cmd_filtration_compute(args) -> int:
     return EXIT_OK
 
 
+# draws of fact-3 inputs per large block before its check counts as vacuous
+FACT3_DRAWS = 8
+
+
 def cmd_pathswap_verify(args) -> int:
+    from .algebra import free_nilpotent, heisenberg3
+
     system = pathswap.BlockSystem(args.a, args.k, args.nprime)
+    # an a-fold bracket vanishes below class a, so fact 3 needs class >= a
+    if args.a == 2:
+        algebra = heisenberg3()
+    elif args.a == 3:
+        algebra = free_nilpotent(3, 3)
+    else:
+        algebra = free_nilpotent(2, args.a)
     budget = args.budget
     freealg.check_budget(system.n_indices, args.step, budget)
     pairs = pathswap.sample_pairs(system, limit=args.pair_limit)
@@ -123,25 +138,28 @@ def cmd_pathswap_verify(args) -> int:
     print(f"block decoupling         [support piece {len(piece)} terms]: "
           f"{'PASS' if ok2 else 'FAIL'}")
 
-    from .algebra import free_nilpotent, heisenberg3
-
-    algebra = heisenberg3() if args.a == 2 else free_nilpotent(3, min(args.step, 3))
-    import random
-
     rng = random.Random(args.seed)
     gens = system.swaps()
     sigma = pathswap.FElement(system, [g for g in gens if g[0] % 2 == 1])
     tau = pathswap.FElement(system, [g for g in gens if g[0] % 2 == 0])
     ok3 = True
     for j in range(system.n_prime):
-        xs = []
-        for p in range(system.n_indices):
-            left = any(p in system.block_positions(j, -off) for off in range(1, system.a))
-            if left:
-                xs.append(algebra.zero_vector())
-            else:
-                xs.append(tuple(Fraction(rng.randint(-6, 6), 3) for _ in range(algebra.dim)))
-        ok3 &= pathswap.verify_block_bracket_identity(system, sigma, tau, j, algebra, xs, budget)
+        # inputs whose bracket side is zero would compare zero with zero, so
+        # draw again; a block that never gets a nonzero side fails the fact
+        for _ in range(FACT3_DRAWS):
+            xs = []
+            for p in range(system.n_indices):
+                left = any(p in system.block_positions(j, -off) for off in range(1, system.a))
+                if left:
+                    xs.append(algebra.zero_vector())
+                else:
+                    xs.append(tuple(Fraction(rng.randint(-6, 6), 3) for _ in range(algebra.dim)))
+            if any(pathswap.block_bracket_rhs(system, sigma, j, algebra, xs)):
+                ok3 &= pathswap.verify_block_bracket_identity(system, sigma, tau, j, algebra,
+                                                              xs, budget)
+                break
+        else:
+            ok3 = False
     print(f"block bracket identity   [evaluated on {algebra.name}]: "
           f"{'PASS' if ok3 else 'FAIL'}")
 
@@ -282,6 +300,7 @@ def cmd_nilmanifold_equid(args) -> int:
     return EXIT_OK if final < float(cfg.params.get("discrepancy_bound", 0.1)) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="nilwalk",
                                 description="nilpotent-group walk experiments")

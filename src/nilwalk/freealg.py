@@ -1,9 +1,10 @@
 """Truncated free associative algebra on N letters with exact coefficients.
 
 Monomials are words over the letters (0-based, packed as ``bytes``), kept
-only up to a length cap ``max_len``; coefficients are ``Fraction``.  The
-cap turns the algebra into the universal envelope for nilpotency class
-``max_len``: the N-fold group product in exponential coordinates is just
+only up to a length cap ``max_len``; coefficients are exact rationals,
+stored as integer numerators over one common denominator.  The cap turns
+the algebra into the universal envelope for nilpotency class ``max_len``:
+the N-fold group product in exponential coordinates is just
 
     prod(N) = log(exp(u_1) exp(u_2) ... exp(u_N)),
 
@@ -23,8 +24,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 Word = bytes
 
@@ -47,39 +49,105 @@ def check_budget(n_letters: int, max_len: int, budget: int = DEFAULT_TERM_BUDGET
         )
 
 
+def _lowest_terms(num: dict[Word, int], den: int) -> tuple[dict[Word, int], int]:
+    """Drop zero numerators and cancel the common factor of num and den."""
+    num = {w: c for w, c in num.items() if c}
+    g = math.gcd(den, *num.values())
+    if g > 1:
+        num = {w: c // g for w, c in num.items()}
+        den //= g
+    return num, den
+
+
+def _accumulate(acc: dict[Word, int], items: Iterable[tuple[Word, int]], factor: int = 1) -> None:
+    """acc[w] += factor * c for every (w, c): the one merge loop of integer
+    numerators.  Zeros stay until from_numerators drops them."""
+    get = acc.get
+    for w, c in items:
+        acc[w] = get(w, 0) + factor * c
+
+
+def _permutation_table(perm: Sequence[int], n_letters: int) -> bytes:
+    """``bytes.translate`` table sending letter i to perm[i]; perm must be a
+    permutation of range(n_letters)."""
+    if sorted(perm) != list(range(n_letters)):
+        raise ValueError(f"{tuple(perm)} is not a permutation of {n_letters} letters")
+    return bytes(perm) + bytes(256 - n_letters)
+
+
+def _translated_sum(poly: "FreePoly", n_letters: int,
+                    tables: Iterable[tuple[int, bytes]]) -> "FreePoly":
+    """sum of factor * (poly with its words translated by table) over the
+    (factor, table) pairs: the words move and the integer numerators add
+    over poly's denominator."""
+    items = poly.num.items()
+    acc: dict[Word, int] = {}
+    for factor, table in tables:
+        _accumulate(acc, ((w.translate(table), c) for w, c in items), factor)
+    return FreePoly.from_numerators(n_letters, poly.max_len, acc, poly.den)
+
+
 class FreePoly:
     """Sparse element of the free associative algebra, truncated at max_len.
 
-    ``terms`` maps words (bytes over range(n_letters), length <= max_len)
-    to nonzero Fractions.  The empty word is the unit monomial; it shows
-    up in intermediate exp/log arithmetic, never in group-product output.
+    Coefficients are integer numerators ``num`` (word -> nonzero int) over
+    one positive common denominator ``den``, in lowest terms, so sums,
+    products and relabelings run on ints and build no Fraction.  ``terms``
+    is the same element as a read-only word -> Fraction dict.  Words are
+    bytes over range(n_letters) of length <= max_len; the empty word is the
+    unit monomial, which shows up in intermediate exp/log arithmetic, never
+    in group-product output.
     """
 
-    __slots__ = ("n_letters", "max_len", "terms")
+    __slots__ = ("n_letters", "max_len", "num", "den", "_terms")
 
     def __init__(self, n_letters: int, max_len: int, terms: Optional[dict[Word, Fraction]] = None):
+        coeffs = {w: Fraction(c) for w, c in (terms or {}).items()}
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self._set(n_letters, max_len,
+                  *_lowest_terms({w: c.numerator * (den // c.denominator)
+                                  for w, c in coeffs.items()}, den))
+
+    def _set(self, n_letters: int, max_len: int, num: dict[Word, int], den: int) -> None:
         self.n_letters = n_letters
         self.max_len = max_len
-        self.terms: dict[Word, Fraction] = terms if terms is not None else {}
+        self.num = num
+        self.den = den
+        self._terms = None
+
+    @classmethod
+    def from_numerators(cls, n_letters: int, max_len: int, num: dict[Word, int],
+                        den: int = 1) -> "FreePoly":
+        """The element sum_w (num[w] / den) w; zeros and common factors are removed."""
+        p = cls.__new__(cls)
+        p._set(n_letters, max_len, *_lowest_terms(num, den))
+        return p
+
+    @property
+    def terms(self) -> dict[Word, Fraction]:
+        if self._terms is None:
+            den = self.den
+            self._terms = {w: Fraction(c, den) for w, c in self.num.items()}
+        return self._terms
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, n_letters: int, max_len: int) -> "FreePoly":
-        return cls(n_letters, max_len)
+        return cls.from_numerators(n_letters, max_len, {})
 
     @classmethod
     def unit(cls, n_letters: int, max_len: int) -> "FreePoly":
-        return cls(n_letters, max_len, {b"": Fraction(1)})
+        return cls.from_numerators(n_letters, max_len, {b"": 1})
 
     @classmethod
     def letter(cls, i: int, n_letters: int, max_len: int) -> "FreePoly":
         if not 0 <= i < n_letters:
             raise ValueError(f"letter index {i} out of range")
-        return cls(n_letters, max_len, {bytes([i]): Fraction(1)})
+        return cls.from_numerators(n_letters, max_len, {bytes([i]): 1})
 
-    def copy(self) -> "FreePoly":
-        return FreePoly(self.n_letters, self.max_len, dict(self.terms))
+    def _like(self, num: dict[Word, int], den: int) -> "FreePoly":
+        return FreePoly.from_numerators(self.n_letters, self.max_len, num, den)
 
     # -- basic arithmetic ---------------------------------------------
 
@@ -87,54 +155,42 @@ class FreePoly:
         if self.n_letters != other.n_letters or self.max_len != other.max_len:
             raise ValueError("FreePoly shape mismatch")
 
-    def __add__(self, other: "FreePoly") -> "FreePoly":
+    def _combine(self, other: "FreePoly", sign: int) -> "FreePoly":
+        """self + sign * other over the least common denominator."""
         self._compat(other)
-        d = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = d.get(w, Fraction(0)) + c
-            if nc:
-                d[w] = nc
-            else:
-                d.pop(w, None)
-        return FreePoly(self.n_letters, self.max_len, d)
+        den = math.lcm(self.den, other.den)
+        f = den // self.den
+        acc = dict(self.num) if f == 1 else {w: f * c for w, c in self.num.items()}
+        _accumulate(acc, other.num.items(), sign * (den // other.den))
+        return self._like(acc, den)
+
+    def __add__(self, other: "FreePoly") -> "FreePoly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "FreePoly") -> "FreePoly":
-        self._compat(other)
-        d = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = d.get(w, Fraction(0)) - c
-            if nc:
-                d[w] = nc
-            else:
-                d.pop(w, None)
-        return FreePoly(self.n_letters, self.max_len, d)
-
-    def __neg__(self) -> "FreePoly":
-        return FreePoly(self.n_letters, self.max_len, {w: -c for w, c in self.terms.items()})
+        return self._combine(other, -1)
 
     def scale(self, c) -> "FreePoly":
         c = Fraction(c)
-        if c == 0:
-            return FreePoly.zero(self.n_letters, self.max_len)
-        return FreePoly(self.n_letters, self.max_len, {w: c * x for w, x in self.terms.items()})
+        return self._like({w: c.numerator * x for w, x in self.num.items()},
+                          self.den * c.denominator)
 
     def __mul__(self, other: "FreePoly") -> "FreePoly":
         """Concatenation product, silently dropping words beyond max_len."""
         self._compat(other)
-        d: dict[Word, Fraction] = {}
+        by_len: dict[int, list[tuple[Word, int]]] = {}
+        for w2, c2 in other.num.items():
+            by_len.setdefault(len(w2), []).append((w2, c2))
+        groups = sorted(by_len.items())
+        acc: dict[Word, int] = {}
         cap = self.max_len
-        for w1, c1 in self.terms.items():
+        for w1, c1 in self.num.items():
             room = cap - len(w1)
-            for w2, c2 in other.terms.items():
-                if len(w2) > room:
-                    continue
-                w = w1 + w2
-                nc = d.get(w, Fraction(0)) + c1 * c2
-                if nc:
-                    d[w] = nc
-                else:
-                    d.pop(w, None)
-        return FreePoly(self.n_letters, self.max_len, d)
+            for length, group in groups:
+                if length > room:
+                    break
+                _accumulate(acc, ((w1 + w2, c2) for w2, c2 in group), c1)
+        return self._like(acc, self.den * other.den)
 
     def bracket(self, other: "FreePoly") -> "FreePoly":
         return self * other - other * self
@@ -143,71 +199,62 @@ class FreePoly:
         return (
             isinstance(other, FreePoly)
             and self.n_letters == other.n_letters
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.n_letters, frozenset(self.terms.items())))
+        return hash((self.n_letters, self.den, frozenset(self.num.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.num)
 
     # -- projections ---------------------------------------------------
 
+    def where(self, keep: Callable[[Word], bool]) -> "FreePoly":
+        """Part spanned by the words w with keep(w) true."""
+        return self._like({w: c for w, c in self.num.items() if keep(w)}, self.den)
+
     def degree_part(self, r: int) -> "FreePoly":
         """Part spanned by words of length exactly r."""
-        return FreePoly(self.n_letters, self.max_len, {w: c for w, c in self.terms.items() if len(w) == r})
+        return self.where(lambda w: len(w) == r)
 
     def support_part(self, letters: Iterable[int]) -> "FreePoly":
         """Part spanned by words whose support is exactly the given set."""
         target = frozenset(letters)
-        return FreePoly(
-            self.n_letters, self.max_len,
-            {w: c for w, c in self.terms.items() if frozenset(w) == target},
-        )
+        return self.where(lambda w: frozenset(w) == target)
 
     def support_size_part(self, t: int) -> "FreePoly":
         """Part spanned by words using exactly t distinct letters."""
-        return FreePoly(
-            self.n_letters, self.max_len,
-            {w: c for w, c in self.terms.items() if len(set(w)) == t},
-        )
+        return self.where(lambda w: len(set(w)) == t)
 
     def support_within(self, letters: Iterable[int]) -> "FreePoly":
         allowed = frozenset(letters)
-        return FreePoly(
-            self.n_letters, self.max_len,
-            {w: c for w, c in self.terms.items() if frozenset(w) <= allowed},
-        )
+        return self.where(lambda w: frozenset(w) <= allowed)
 
     # -- symmetric group action ----------------------------------------
 
-    def permute(self, perm: tuple[int, ...]) -> "FreePoly":
-        """Apply a permutation to the letters: u_i -> u_{perm[i]}."""
-        d: dict[Word, Fraction] = {}
-        for w, c in self.terms.items():
-            pw = bytes(perm[b] for b in w)
-            nc = d.get(pw, Fraction(0)) + c
-            if nc:
-                d[pw] = nc
-            else:
-                d.pop(pw, None)
-        return FreePoly(self.n_letters, self.max_len, d)
+    def permute(self, perm: Sequence[int]) -> "FreePoly":
+        """Apply a permutation to the letters: u_i -> u_{perm[i]}.
+
+        A letter permutation is a bijection on words, so only the keys change.
+        """
+        table = _permutation_table(perm, self.n_letters)
+        return self._like({w.translate(table): c for w, c in self.num.items()}, self.den)
+
+    def permutation_sum(self, op: Iterable[tuple[int, Sequence[int]]]) -> "FreePoly":
+        """sum of sign * self.permute(perm) over the (sign, perm) pairs of op."""
+        n = self.n_letters
+        return _translated_sum(self, n, [(sign, _permutation_table(perm, n)) for sign, perm in op])
 
     def relabel(self, mapping: dict[int, int], n_letters: int) -> "FreePoly":
         """Inject into an algebra on n_letters letters via letter -> mapping[letter]."""
-        d: dict[Word, Fraction] = {}
-        for w, c in self.terms.items():
-            pw = bytes(mapping[b] for b in w)
-            nc = d.get(pw, Fraction(0)) + c
-            if nc:
-                d[pw] = nc
-            else:
-                d.pop(pw, None)
-        return FreePoly(n_letters, self.max_len, d)
+        acc: dict[Word, int] = {}
+        _accumulate(acc, ((bytes(mapping[b] for b in w), c) for w, c in self.num.items()))
+        return FreePoly.from_numerators(n_letters, self.max_len, acc, self.den)
 
     # -- output ---------------------------------------------------------
 
@@ -258,22 +305,23 @@ def _exp_product(n_letters: int, max_len: int) -> FreePoly:
 
     Only nondecreasing words survive; the coefficient of a word is the
     product of 1/m! over its runs of equal letters.  Built directly rather
-    than by multiplying N series.
+    than by multiplying N series, over the denominator max_len!, which every
+    such product divides.
     """
-    terms: dict[Word, Fraction] = {b"": Fraction(1)}
-
-    def extend(prefix: list[int], coeff: Fraction, last: int, run: int):
+    den = math.factorial(max_len)
+    num: dict[Word, int] = {b"": den}
+    # (word, numerator, last letter, length of its run); the empty word's run
+    # of length 0 gives every first letter a run of 1
+    stack = [(b"", den, 0, 0)]
+    while stack:
+        prefix, coeff, last, run = stack.pop()
         for nxt in range(last, n_letters):
             new_run = run + 1 if nxt == last else 1
-            c = coeff / new_run
-            word = prefix + [nxt]
-            terms[bytes(word)] = c
+            word = prefix + bytes([nxt])
+            num[word] = coeff // new_run
             if len(word) < max_len:
-                extend(word, c, nxt, new_run)
-
-    extend([], Fraction(1), 0, 0)
-    # the initial call with last=0, run=0 never matches a previous letter
-    return FreePoly(n_letters, max_len, terms)
+                stack.append((word, num[word], nxt, new_run))
+    return FreePoly.from_numerators(n_letters, max_len, num, den)
 
 
 def dynkin_product(n_letters: int, max_len: int, budget: int = DEFAULT_TERM_BUDGET) -> FreePoly:
@@ -298,11 +346,13 @@ def dynkin_product(n_letters: int, max_len: int, budget: int = DEFAULT_TERM_BUDG
     return out
 
 
+@lru_cache(maxsize=64)
 def full_support_block(t: int, max_len: int, budget: int = DEFAULT_TERM_BUDGET) -> FreePoly:
     """The part of the t-fold product supported on all t letters.
 
     This is the building block that periodization replicates over all
-    t-subsets of a larger index set.
+    t-subsets of a larger index set.  It is built once per (t, max_len);
+    callers must not modify the shared result.
     """
     return dynkin_product(t, max_len, budget).support_part(range(t))
 
@@ -315,20 +365,10 @@ def periodize(block: FreePoly, n_letters: int, subsets: Optional[Iterable[tuple[
     range(n_letters) and the copies are summed.
     """
     t = block.n_letters
-    d: dict[Word, Fraction] = {}
-    if subsets is None:
-        subsets = combinations(range(n_letters), t)
-    for I in subsets:
-        if len(I) != t:
-            raise ValueError("subset size must match block letters")
-        for w, c in block.terms.items():
-            pw = bytes(I[b] for b in w)
-            nc = d.get(pw, Fraction(0)) + c
-            if nc:
-                d[pw] = nc
-            else:
-                d.pop(pw, None)
-    return FreePoly(n_letters, block.max_len, d)
+    subsets = list(combinations(range(n_letters), t) if subsets is None else subsets)
+    if any(len(I) != t for I in subsets):
+        raise ValueError("subset size must match block letters")
+    return _translated_sum(block, n_letters, [(1, bytes(I) + bytes(256 - t)) for I in subsets])
 
 
 def product_support_size_part(n_letters: int, t: int, max_len: int,
@@ -381,8 +421,9 @@ def evaluate_lie(poly: FreePoly, xs, bracket: Callable, add: Callable, scale: Ca
     used here.
     """
     acc = zero
+    den = poly.den
     cache: dict[Word, object] = {}
-    for w, c in sorted(poly.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
+    for w, c in sorted(poly.num.items(), key=lambda kv: (len(kv[0]), kv[0])):
         r = len(w)
         if r == 0:
             raise ValueError("constant terms cannot be evaluated as Lie elements")
@@ -396,7 +437,7 @@ def evaluate_lie(poly: FreePoly, xs, bracket: Callable, add: Callable, scale: Ca
             else:
                 v = bracket(v, xs[w[-1]])
             cache[w] = v
-        acc = add(acc, scale(Fraction(c, r), v))
+        acc = add(acc, scale(Fraction(c, den * r), v))
     return acc
 
 

@@ -173,9 +173,9 @@ def swap_operator(system: BlockSystem, sigma: FElement, tau: FElement) -> list[t
     Returns 2^(a-1) terms (sign, permutation); terms with equal permutations
     are not merged, matching the formal product.
     """
-    if sigma.system is not system or tau.system is not system:
-        if sigma.system != system and sigma.system.__dict__ != system.__dict__:
-            raise ValueError("sigma does not belong to this block system")
+    for name, elem in (("sigma", sigma), ("tau", tau)):
+        if elem.system != system:
+            raise ValueError(f"{name} belongs to {elem.system}, not to {system}")
     terms: list[tuple[int, frozenset[Swap]]] = [(1, frozenset())]
     for i in range(1, system.a):
         si, ti = sigma.component(i), tau.component(i)
@@ -188,11 +188,8 @@ def swap_operator(system: BlockSystem, sigma: FElement, tau: FElement) -> list[t
 
 
 def apply_operator(op: Sequence[tuple[int, tuple[int, ...]]], poly: FreePoly) -> FreePoly:
-    out = FreePoly.zero(poly.n_letters, poly.max_len)
-    for sgn, perm in op:
-        moved = poly.permute(perm)
-        out = out + (moved if sgn > 0 else -moved)
-    return out
+    """The signed permutations of op acting on poly, summed."""
+    return poly.permutation_sum(op)
 
 
 # -- verification of the three block-swap facts ----------------------------
@@ -242,11 +239,7 @@ def verify_block_decoupling(system: BlockSystem, sigma: FElement, tau: FElement,
         block = piece.support_within(system.large_block(j))
         per_block = per_block + block
         k = system.k
-        spread_terms = {
-            w: c for w, c in block.terms.items()
-            if len({p // k for p in set(w)}) == len(set(w))
-        }
-        spread = spread + FreePoly(n, max_len, spread_terms)
+        spread = spread + block.where(lambda w: len({p // k for p in set(w)}) == len(set(w)))
     if lhs != apply_operator(op, per_block):
         return False
     return lhs == apply_operator(op, spread)
@@ -307,9 +300,15 @@ def block_bracket_sides(system: BlockSystem, sigma: FElement, tau: FElement, j: 
         scale=algebra.scale_exact,
         zero=zero,
     )
+    return lhs, block_bracket_rhs(system, sigma, j, algebra, xs)
 
+
+def block_bracket_rhs(system: BlockSystem, sigma: FElement, j: int, algebra, xs: Sequence):
+    """Right side of fact 3(ii): the swap parity of sigma on large block j
+    times the left-nested bracket of the per-type block sums."""
+    zero = algebra.zero_vector()
     bars = []
-    for t in range(a):
+    for t in range(system.a):
         total = zero
         offsets = (0,) if t == 0 else (-t, t)
         for off in offsets:
@@ -317,11 +316,10 @@ def block_bracket_sides(system: BlockSystem, sigma: FElement, tau: FElement, j: 
                 total = algebra.add_exact(total, xs[p])
         bars.append(total)
     rhs = bars[0]
-    for t in range(1, a):
+    for t in range(1, system.a):
         rhs = algebra.bracket_exact(rhs, bars[t])
     parity = FElement(system, sigma.block_component(j)).swap_parity()
-    rhs = algebra.scale_exact(parity, rhs)
-    return lhs, rhs
+    return algebra.scale_exact(parity, rhs)
 
 
 def verify_block_bracket_identity(system: BlockSystem, sigma: FElement, tau: FElement, j: int,

@@ -78,9 +78,15 @@ class ExperimentResult:
         return max(sigmas * self.stderr, rel_tol * abs(self.target))
 
     def within(self, rel_tol: float, sigmas: float = 3.0) -> bool:
-        """Noise-aware acceptance rule: |estimate - target| <= allowance."""
+        """Noise-aware acceptance rule: |estimate - target| <= allowance.
+
+        A non-finite estimate or stderr (a ratio whose limit bank has no hit)
+        measures nothing, so it never passes.
+        """
         if self.target is None:
             raise ValueError("no target recorded")
+        if not (math.isfinite(self.estimate) and math.isfinite(self.stderr)):
+            return False
         return abs(self.estimate - self.target) <= self.allowance(rel_tol, sigmas)
 
 

@@ -77,6 +77,26 @@ def test_pathswap_verify(capsys):
     assert out.count("PASS") == 3
 
 
+def test_pathswap_verify_a4_evaluates_fact3_on_class_4(capsys):
+    assert main(["pathswap", "verify", "--a", "4", "--k", "1", "--nprime", "1",
+                 "--step", "4", "--pair-limit", "4"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 3
+    assert "evaluated on free_nilpotent(2,4)" in out
+
+
+def test_pathswap_fact3_fails_when_the_bracket_side_vanishes(capsys, monkeypatch):
+    """On an algebra of class 2 < a = 3 every 3-fold bracket is zero, so
+    fact 3 compares zero with zero and must not pass."""
+    from nilwalk import algebra
+
+    monkeypatch.setattr(algebra, "free_nilpotent", lambda g, s: algebra.heisenberg3())
+    assert main(["pathswap", "verify", "--a", "3", "--k", "1", "--nprime", "1",
+                 "--step", "3", "--pair-limit", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].endswith("FAIL") and lines[0].endswith("PASS")
+
+
 def test_pathswap_budget_exceeded():
     assert main(["--budget", "100", "pathswap", "verify", "--a", "3",
                  "--k", "2", "--nprime", "2", "--step", "4"]) == 4
@@ -134,6 +154,20 @@ def test_configured_check_fails_in_every_mode(tmp_path, heis_config, mode):
     heis_config.write_text(json.dumps(cfg))
     assert main(["walk", mode, "--config", str(heis_config),
                  "--out", str(tmp_path / "out.csv")]) == 1
+
+
+def test_ratio_check_without_limit_hits_fails(tmp_path, heis_config):
+    """A box the limit bank never hits gives estimate and stderr inf, whose
+    3-sigma allowance would pass any target."""
+    cfg = json.loads(heis_config.read_text())
+    cfg["M"] = 2000
+    cfg["params"] |= {"recenter": "none", "box": [[40, 41], [40, 41], [0, 1]],
+                      "checks": {"target": 1, "relative_tolerance": 0.05}}
+    heis_config.write_text(json.dumps(cfg))
+    out = tmp_path / "ratio.csv"
+    assert main(["walk", "ratio", "--config", str(heis_config), "--out", str(out)]) == 1
+    row = read_body(out)[1].split(",")
+    assert row[3:5] == ["inf", "inf"]
 
 
 def test_configured_check_passes_on_clt_variance(tmp_path, heis_config):

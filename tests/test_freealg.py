@@ -137,6 +137,16 @@ def test_permute_action_consistency():
     assert p.permute(tau).permute(perm) == p.permute(comp)
 
 
+def test_permute_rejects_a_map_that_is_not_a_permutation():
+    p = dynkin_product(3, 3)
+    for bad in [(0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3)]:
+        with pytest.raises(ValueError):
+            p.permute(bad)
+    # the non-bijective map is relabel, which merges colliding words
+    merged = FreePoly(2, 2, {w(0, 1): F(1), w(1, 0): F(2)}).relabel({0: 0, 1: 0}, 1)
+    assert merged.terms == {w(0, 0): F(3)}
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         check_budget(50, 5, budget=10_000)

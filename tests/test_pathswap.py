@@ -135,3 +135,56 @@ def test_swap_parity():
     assert sigma.swap_parity() == -1
     assert sigma.swap_parity(0) == 1  # two active swaps in large block 0
     assert sigma.swap_parity(1) == -1
+
+
+def test_swap_operator_checks_both_elements_belong_to_the_system():
+    bs = BlockSystem(2, 1, 1)
+    other = BlockSystem(3, 1, 1)
+    own = FElement(bs, [(1, 0)])
+    with pytest.raises(ValueError, match="tau"):
+        swap_operator(bs, own, FElement(other, [(1, 0)]))
+    with pytest.raises(ValueError, match="sigma"):
+        swap_operator(bs, FElement(other), own)
+    # an equal system built separately is the same system
+    assert len(swap_operator(bs, own, FElement(BlockSystem(2, 1, 1)))) == 2
+
+
+def _bracket_inputs(bs, algebra, j, rng):
+    return [algebra.zero_vector()
+            if any(p in bs.block_positions(j, -off) for off in range(1, bs.a))
+            else tuple(F(rng.randint(-6, 6), 3) for _ in range(algebra.dim))
+            for p in range(bs.n_indices)]
+
+
+@pytest.mark.parametrize("a,k,nprime,limit", [(4, 1, 1, 16), (4, 1, 2, 6)])
+def test_block_swap_facts_at_a4(a, k, nprime, limit):
+    bs = BlockSystem(a, k, nprime)
+    pairs = sample_pairs(bs, limit=limit)
+    assert len(pairs) == limit
+    for sigma, tau in pairs:
+        assert verify_low_degree_annihilation(bs, sigma, tau, 4)
+        assert verify_block_decoupling(bs, sigma, tau, 4)
+    # fact 3 needs class >= a: on free-nilpotent(2,4) both sides are nonzero
+    algebra = free_nilpotent(2, 4)
+    gens = bs.swaps()
+    sigma = FElement(bs, [g for g in gens if g[0] % 2 == 1])
+    tau = FElement(bs, [g for g in gens if g[0] % 2 == 0])
+    rng = random.Random(40 + nprime)
+    for j in range(nprime):
+        xs = _bracket_inputs(bs, algebra, j, rng)
+        lhs, rhs = block_bracket_sides(bs, sigma, tau, j, algebra, xs)
+        assert lhs == rhs and any(lhs)
+        shared = FElement(bs, sigma.active | {(2, j)})
+        assert verify_block_vanishing(bs, sigma, shared, j, 4)
+
+
+def test_bracket_side_vanishes_below_class_a():
+    # the old fact-3 algebra for a = 4 has class 3: both sides are zero
+    bs = BlockSystem(4, 1, 1)
+    algebra = free_nilpotent(3, 3)
+    gens = bs.swaps()
+    sigma = FElement(bs, [g for g in gens if g[0] % 2 == 1])
+    tau = FElement(bs, [g for g in gens if g[0] % 2 == 0])
+    xs = _bracket_inputs(bs, algebra, 0, random.Random(3))
+    lhs, rhs = block_bracket_sides(bs, sigma, tau, 0, algebra, xs)
+    assert not any(lhs) and not any(rhs)

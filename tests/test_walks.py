@@ -255,3 +255,7 @@ def test_experiment_result_noise_aware_rule():
     assert res.within(rel_tol=0.05)  # 3 sigma allowance covers it
     res2 = ExperimentResult("x", 1, 1, estimate=1.30, stderr=0.05, target=1.0)
     assert not res2.within(rel_tol=0.05)
+    # a non-finite estimate or stderr measures nothing and never passes
+    for est, err in [(math.inf, math.inf), (1.0, math.inf), (math.nan, 0.05)]:
+        res3 = ExperimentResult("x", 1, 1, estimate=est, stderr=err, target=1.0)
+        assert not res3.within(rel_tol=0.05)
