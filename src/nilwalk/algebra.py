@@ -31,9 +31,10 @@ ExactVector = tuple[Fraction, ...]
 Monomial = tuple[int, ...]
 
 
-# Rows per pass of the float group law: the temporaries of one pass stay in
-# cache, which on large batches is several times faster than one pass.
-_BLOCK_ROWS = 4096
+# Rows per pass of the float group law, and replica-steps per block of the
+# Cesaro walk: the temporaries of one pass stay in cache, which on large
+# batches is several times faster than one pass.
+BLOCK_ROWS = 4096
 
 
 class DimensionMismatch(ValueError):
@@ -182,7 +183,7 @@ class NilpotentAlgebra:
         each coordinate adds its higher monomials, summed in groups of equal
         |coefficient| and scaled once per group.  Each monomial, and each
         prefix of one, is computed once per pass and shared by the
-        coordinates; a pass takes at most _BLOCK_ROWS rows.
+        coordinates; a pass takes at most BLOCK_ROWS rows.
         """
         return self._product_kernel
 
@@ -221,12 +222,12 @@ class NilpotentAlgebra:
             y = np.asarray(y, dtype=float)
             out = x + y
             n = len(out) if out.ndim == 2 and plan else 0
-            if n <= _BLOCK_ROWS:
+            if n <= BLOCK_ROWS:
                 if plan:
                     accumulate(out, x, y)
                 return out
-            for lo in range(0, n, _BLOCK_ROWS):
-                rows = slice(lo, lo + _BLOCK_ROWS)
+            for lo in range(0, n, BLOCK_ROWS):
+                rows = slice(lo, lo + BLOCK_ROWS)
                 accumulate(out[rows], *(a[rows] if a.ndim == 2 and len(a) == n else a
                                         for a in (x, y)))
             return out

@@ -113,6 +113,10 @@ FACT3_DRAWS = 8
 def cmd_pathswap_verify(args) -> int:
     from .algebra import free_nilpotent, heisenberg3
 
+    # truncated below degree a the support piece is zero, and fact 2 would
+    # compare zero with zero
+    if args.step < args.a:
+        raise ValueError(f"--step {args.step} is below --a {args.a}")
     system = pathswap.BlockSystem(args.a, args.k, args.nprime)
     # an a-fold bracket vanishes below class a, so fact 3 needs class >= a
     if args.a == 2:

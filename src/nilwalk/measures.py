@@ -153,6 +153,11 @@ class Measure:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
+    def sample_steps(self, rng: np.random.Generator, steps: int, size: int) -> np.ndarray:
+        """(steps * size, dim) rows in step-major order, bit for bit the rows
+        of ``steps`` consecutive ``sample(rng, size)`` calls."""
+        return np.concatenate([self.sample(rng, size) for _ in range(steps)])
+
     def mean_float(self) -> np.ndarray:
         raise NotImplementedError
 
@@ -194,6 +199,10 @@ class AtomicMeasure(Measure):
         u = rng.random(size)
         idx = np.searchsorted(self._cum, u, side="right").clip(0, len(self.points) - 1)
         return self._pts[idx]
+
+    def sample_steps(self, rng, steps, size):
+        # Generator.random fills in order, so one call draws the same stream
+        return self.sample(rng, steps * size)
 
     def mean_exact(self) -> ExactVector:
         d = self.algebra.dim
@@ -253,6 +262,9 @@ class AffineImage(Measure):
 
     def sample(self, rng, size):
         return self.base.sample(rng, size) @ self.matrix + self.shift
+
+    def sample_steps(self, rng, steps, size):
+        return self.base.sample_steps(rng, steps, size) @ self.matrix + self.shift
 
     def mean_float(self):
         return self.base.mean_float() @ self.matrix + self.shift

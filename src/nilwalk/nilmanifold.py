@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import NilpotentAlgebra, heisenberg3
+from .algebra import BLOCK_ROWS
 from .measures import Measure
 
 
@@ -84,29 +84,45 @@ def cesaro_equidistribution(measure: Measure, n_steps: int, n_replicas: int,
     n_replicas independent paths.  The discrepancy at each checkpoint is
     the maximum over cells of |empirical mass - exact volume|; the
     relative version (scaled by the cell count) is reported alongside.
+
+    The walk runs in blocks of about BLOCK_ROWS replica-steps: the
+    increments of a block are drawn by one ``sample_steps`` call, and the
+    positions before each step are folded and counted once per block.
+    Blocks end at checkpoints, and the draws equal one ``sample`` call per
+    step, so the report does not depend on the block size.
     """
     algebra = measure.algebra
     if algebra.dim != 3 or algebra.step != 2:
         raise ValueError("the compact quotient is built in for the Heisenberg algebra only")
+    if cells_per_axis < 1 or n_replicas < 1:
+        raise ValueError("cells_per_axis and n_replicas must be >= 1")
     if checkpoints is None:
         checkpoints = [n_steps]
     checkpoints = sorted(set(int(c) for c in checkpoints))
-    if checkpoints[-1] != n_steps:
+    if not checkpoints or checkpoints[-1] != n_steps:
         raise ValueError("last checkpoint must equal n_steps")
+    if checkpoints[0] < 1:
+        raise ValueError("checkpoints must be >= 1")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     product = algebra.product_map()
     n_cells = cells_per_axis**3
     counts = np.zeros(n_cells, dtype=np.int64)
     s = np.zeros((n_replicas, 3)) if start is None else np.tile(start, (n_replicas, 1))
+    block = max(1, BLOCK_ROWS // n_replicas)
+    visited = np.empty((block, n_replicas, 3))  # positions before each step of a block
     results = {}
     done = 0
     for cp in checkpoints:
         while done < cp:
-            idx = cell_index(fold_second_kind(s), cells_per_axis)
-            np.add.at(counts, idx, 1)
-            s = product(s, measure.sample(rng, n_replicas))
-            done += 1
+            steps = min(block, cp - done)
+            incs = measure.sample_steps(rng, steps, n_replicas).reshape(steps, n_replicas, 3)
+            for k in range(steps):
+                visited[k] = s
+                s = product(s, incs[k])
+            idx = cell_index(fold_second_kind(visited[:steps].reshape(-1, 3)), cells_per_axis)
+            counts += np.bincount(idx, minlength=n_cells)
+            done += steps
         total = counts.sum()
         emp = counts / total
         vol = 1.0 / n_cells
@@ -128,8 +144,7 @@ def haar_control(n_samples: int, cells_per_axis: int = 8, seed: int = 1) -> dict
     """Discrepancy of direct uniform sampling; the Monte Carlo floor."""
     rng = np.random.default_rng(seed)
     t = rng.random((n_samples, 3))
-    counts = np.zeros(cells_per_axis**3, dtype=np.int64)
-    np.add.at(counts, cell_index(t, cells_per_axis), 1)
+    counts = np.bincount(cell_index(t, cells_per_axis), minlength=cells_per_axis**3)
     emp = counts / n_samples
     vol = 1.0 / cells_per_axis**3
     return {

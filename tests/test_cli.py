@@ -309,7 +309,7 @@ def test_limit_heisenberg_origin(capsys):
     assert abs(rep["density"] - 0.25) < 0.05
 
 
-def test_nilmanifold_equid(tmp_path, capsys):
+def equid_config(tmp_path, params=None):
     cfg = tmp_path / "equid.json"
     cfg.write_text(json.dumps({
         "algebra": "heisenberg3",
@@ -324,10 +324,34 @@ def test_nilmanifold_equid(tmp_path, capsys):
         },
         "M": 40,
         "seed": 2,
+        "params": params or {},
     }))
-    assert main(["nilmanifold", "equid", "--config", str(cfg), "--N", "600"]) == 0
+    return str(cfg)
+
+
+def test_nilmanifold_equid(tmp_path, capsys):
+    assert main(["nilmanifold", "equid", "--config", equid_config(tmp_path), "--N", "600"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["checkpoints"]["600"]["discrepancy"] < 0.1
+
+
+def test_nilmanifold_equid_rejects_zero_cells(tmp_path, capsys):
+    assert main(["nilmanifold", "equid", "--config", equid_config(tmp_path),
+                 "--N", "50", "--cells", "0"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_nilmanifold_equid_rejects_checkpoint_zero(tmp_path, capsys):
+    cfg = equid_config(tmp_path, {"checkpoints": [0, 50]})
+    assert main(["nilmanifold", "equid", "--config", cfg, "--N", "50"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_pathswap_verify_rejects_step_below_a(capsys):
+    assert main(["pathswap", "verify", "--a", "3", "--k", "1", "--nprime", "1",
+                 "--step", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--step 2" in captured.err
 
 
 def test_digest_stable_under_key_order():

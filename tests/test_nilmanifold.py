@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilwalk.algebra import heisenberg3
-from nilwalk.measures import AffineImage, AtomicMeasure
+from nilwalk.measures import AffineImage, AtomicMeasure, Gaussian1D, ProductMeasure, TwoPoint1D
 from nilwalk.nilmanifold import (
     cell_index,
     cesaro_equidistribution,
@@ -115,6 +115,100 @@ def test_cesaro_validates_inputs(heis):
     mu = drifted_aperiodic_measure(heis)
     with pytest.raises(ValueError):
         cesaro_equidistribution(mu, 100, 10, checkpoints=[50])  # misses n_steps
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"cells_per_axis": 0},
+    {"n_replicas": 0},
+    {"checkpoints": [0, 100]},
+    {"checkpoints": [-5, 100]},
+])
+def test_cesaro_rejects_empty_grids_and_checkpoints(heis, kwargs):
+    args = {"n_steps": 100, "n_replicas": 10, **kwargs}
+    with pytest.raises(ValueError):
+        cesaro_equidistribution(drifted_aperiodic_measure(heis), **args)
+
+
+def reference_cesaro(measure, n_steps, n_replicas, cells_per_axis=8, seed=0,
+                     checkpoints=None, start=None):
+    """The per-step loop: one sample, fold, cell count and product per step."""
+    checkpoints = sorted(set(checkpoints or [n_steps]))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    product = measure.algebra.product_map()
+    n_cells = cells_per_axis**3
+    counts = np.zeros(n_cells, dtype=np.int64)
+    s = np.zeros((n_replicas, 3)) if start is None else np.tile(start, (n_replicas, 1))
+    results = {}
+    done = 0
+    for cp in checkpoints:
+        while done < cp:
+            np.add.at(counts, cell_index(fold_second_kind(s), cells_per_axis), 1)
+            s = product(s, measure.sample(rng, n_replicas))
+            done += 1
+        total = counts.sum()
+        emp = counts / total
+        results[cp] = {
+            "discrepancy": float(np.abs(emp - 1.0 / n_cells).max()),
+            "relative_discrepancy": float(np.abs(emp * n_cells - 1.0).max()),
+            "n_samples": int(total),
+        }
+    return {"cells_per_axis": cells_per_axis, "n_replicas": n_replicas,
+            "checkpoints": results, "final_counts": counts.tolist(), "seed": seed}
+
+
+def gaussian_measure(heis):
+    return ProductMeasure(heis, [Gaussian1D(0.3, 0.8), Gaussian1D(-0.1, 1.1),
+                                 Gaussian1D(0.05, 0.4)])
+
+
+def central_measure(heis):
+    return AtomicMeasure(heis, [(0, 0, F(1, 3)), (0, 0, F(-2, 7))], [F(1, 2), F(1, 2)])
+
+
+# (law, replicas, steps, checkpoints, start); at 60, 100 and 1 replica a block
+# holds 68, 40 and 4096 steps, and no checkpoint but the last falls on an edge
+BLOCKED_CASES = [
+    ("affine-atoms", 100, 1000, [7, 95, 401, 1000], None),
+    ("affine-atoms", 60, 300, [50, 137, 300], None),
+    ("affine-atoms", 1, 5000, [1, 4097, 5000], None),
+    ("affine-atoms", 4097, 12, [5, 12], None),
+    ("gaussian", 100, 300, [33, 300], None),
+    ("gaussian", 60, 150, [69, 150], (0.25, -1.5, 3.0)),
+    ("central", 100, 400, [41, 400], None),
+    ("central", 1, 4100, [4100], (0.5, 0.5, 0.2)),
+]
+
+
+@pytest.mark.parametrize("law,replicas,steps,checkpoints,start", BLOCKED_CASES)
+def test_blocked_walk_matches_per_step_loop(heis, law, replicas, steps, checkpoints, start):
+    measure = {"affine-atoms": drifted_aperiodic_measure, "gaussian": gaussian_measure,
+               "central": central_measure}[law](heis)
+    start = None if start is None else np.array(start)
+    kwargs = dict(cells_per_axis=5, seed=11, checkpoints=checkpoints, start=start)
+    got = cesaro_equidistribution(measure, steps, replicas, **kwargs)
+    want = reference_cesaro(measure, steps, replicas, **kwargs)
+    assert got == want
+
+
+@pytest.mark.parametrize("law", ["atoms", "gaussian", "two-point", "affine-atoms",
+                                 "affine-gaussian"])
+@pytest.mark.parametrize("steps,size", [(1, 1), (1, 50), (7, 1), (40, 100), (3, 4097)])
+def test_sample_steps_equals_per_step_draws(heis, law, steps, size):
+    mat = np.array([[0.7, -1.2, 0.4], [0.3, 0.9, -2.1], [1.5, 0.2, 0.8]])
+    shift = np.array([0.1, -0.3, 2.0])
+    measure = {
+        "atoms": lambda: central_measure(heis),
+        "gaussian": lambda: gaussian_measure(heis),
+        "two-point": lambda: ProductMeasure(heis, [TwoPoint1D(-1.0, 2.0, 0.3),
+                                                   Gaussian1D(), TwoPoint1D(0.0, 1.0)]),
+        "affine-atoms": lambda: drifted_aperiodic_measure(heis),
+        "affine-gaussian": lambda: AffineImage(gaussian_measure(heis), mat, shift),
+    }[law]()
+    blocked = measure.sample_steps(np.random.default_rng(5), steps, size)
+    rng = np.random.default_rng(5)
+    per_step = np.concatenate([measure.sample(rng, size) for _ in range(steps)])
+    assert blocked.shape == (steps * size, 3)
+    assert np.array_equal(blocked, per_step)
 
 
 # -- lazy-walk bound ----------------------------------------------------------------
