@@ -10,6 +10,10 @@ and the benchmark's exact-symbolic workload prove:
                  k <= 2, n' <= 2, with acceptance 1's pair sets and inputs
   swap-a4        facts 1 and 2 on (4,1,1) with 16 pairs and (4,1,2) with 6,
                  and fact 3 on free-nilpotent(2,4)
+  construction   uncached free_nilpotent for the five free algebras of the
+                 exact-symbolic workload, then a WeightFiltration for each
+                 drift e_i of every builtin (those five, heisenberg3,
+                 filiform4 and abelian(3))
 
 Each family runs REPEATS times; the file keeps the first (cold: nothing
 cached yet) and the median.  It then runs acceptance criterion 1 with
@@ -41,6 +45,7 @@ from fractions import Fraction
 
 REPEATS = 3
 OUT = "BENCH_exact.json"
+FREE = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]
 
 
 def cpu_model() -> str:
@@ -63,7 +68,8 @@ def bracket_inputs(bs, algebra, j, rng):
 
 
 def families():
-    from nilwalk.algebra import free_nilpotent, heisenberg3
+    from nilwalk.algebra import abelian, filiform4, free_nilpotent, heisenberg3
+    from nilwalk.filtration import WeightFiltration
     from nilwalk.freealg import verify_periodization_identity
     from nilwalk.pathswap import (BlockSystem, FElement, sample_pairs,
                                   verify_block_bracket_identity, verify_block_decoupling,
@@ -108,6 +114,12 @@ def families():
                 and fact(verify_block_decoupling, a4_pairs, 4)
                 and fact3([bs for bs, _ in a4], lambda a: free_nilpotent(2, 4)))
 
+    def construction():
+        free_nilpotent.cache_clear()
+        algebras = [heisenberg3(), filiform4(), abelian(3)] + [free_nilpotent(*gs) for gs in FREE]
+        return all(len(WeightFiltration(alg, alg.basis_vector(i)).weights) == alg.dim
+                   for alg in algebras for i in range(alg.dim))
+
     return {
         "bch-assoc": bch,
         "periodization": periodization,
@@ -116,6 +128,7 @@ def families():
         "swap-fact3": lambda: fact3(systems, lambda a: heisenberg3() if a == 2
                                     else free_nilpotent(3, 3)),
         "swap-a4": swap_a4,
+        "construction": construction,
     }
 
 

@@ -237,21 +237,9 @@ class NilpotentAlgebra:
     # -- series and validation ----------------------------------------------
 
     def descending_central_series(self) -> list[Subspace]:
-        """[g, g^[i-1]] chain, starting at the full algebra, ending at zero."""
-        series = [Subspace.full(self.dim)]
-        basis = [self.basis_vector(i) for i in range(self.dim)]
-        while series[-1].dim > 0:
-            prev = series[-1]
-            gens = [
-                self.bracket_exact(b, v)
-                for b in basis
-                for v in prev.basis
-            ]
-            nxt = Subspace(self.dim, [g for g in gens if not is_zero_vec(g)])
-            if nxt == prev:
-                raise ValueError("algebra is not nilpotent: central series stalls")
-            series.append(nxt)
-        return series
+        """[g, g^[i-1]] chain, starting at the full algebra, ending at zero:
+        the weight ideals of the zero drift."""
+        return weight_ideals(self, self.zero_vector())
 
     def validate(self) -> None:
         """Exact antisymmetry (by construction), Jacobi, and class check."""
@@ -277,6 +265,29 @@ class NilpotentAlgebra:
     def __repr__(self):
         label = self.name or "algebra"
         return f"NilpotentAlgebra({label}, dim={self.dim}, step={self.step})"
+
+
+def weight_ideals(algebra: NilpotentAlgebra, xbar: Sequence) -> list[Subspace]:
+    """The decreasing ideals g^(1) >= g^(2) >= ... down to the zero space.
+
+    g^(1) = g and g^(i+1) = [g, g^(i)] + [x, g^(i-1)] with g^(0) = g, for any
+    representative x of the drift class; the output does not depend on the
+    representative (checked in the tests).  The zero drift gives the
+    descending central series.  The chain is nested, so above zero it can
+    only end by standing still, which makes the table not nilpotent.
+    """
+    x = fracvec(xbar)
+    drift = not is_zero_vec(x)
+    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    chain = [Subspace.full(algebra.dim)] * 2  # g^(0), g^(1)
+    while chain[-1].dim > 0:
+        gens = [algebra.bracket_exact(b, v) for b in basis for v in chain[-1].basis]
+        if drift:  # the central series, validated on every build, skips these
+            gens += [algebra.bracket_exact(x, v) for v in chain[-2].basis]
+        chain.append(Subspace(algebra.dim, [g for g in gens if not is_zero_vec(g)]))
+        if chain[-1] == chain[-2] == chain[-3]:
+            raise ValueError("algebra is not nilpotent: central series stalls")
+    return chain[1:]
 
 
 # -- built-in algebras -------------------------------------------------------

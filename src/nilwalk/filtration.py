@@ -22,53 +22,16 @@ g^(i+1).  All spans and ranks are exact rational computations.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import ExactVector, NilpotentAlgebra
+from .algebra import ExactVector, NilpotentAlgebra, weight_ideals
 from .freealg import FreePoly
-from .ratlinalg import (
-    Subspace,
-    fracvec,
-    invert_matrix,
-    is_zero_vec,
-    vec_add,
-)
-
-
-def weight_ideals(algebra: NilpotentAlgebra, xbar: Sequence) -> list[Subspace]:
-    """The decreasing ideals g^(1) >= g^(2) >= ... down to the zero space.
-
-    ``xbar`` is any representative vector of the drift class; the output is
-    independent of the choice of representative (checked in the tests, and
-    forced by the recursion only using x against older terms).
-    """
-    x = fracvec(xbar)
-    d = algebra.dim
-    basis = [algebra.basis_vector(i) for i in range(d)]
-    g_prev = Subspace.full(d)   # g^(0)
-    g_cur = Subspace.full(d)    # g^(1)
-    out = [g_cur]
-    while out[-1].dim > 0:
-        gens = []
-        for b in basis:
-            for v in g_cur.basis:
-                w = algebra.bracket_exact(b, v)
-                if not is_zero_vec(w):
-                    gens.append(w)
-        for v in g_prev.basis:
-            w = algebra.bracket_exact(x, v)
-            if not is_zero_vec(w):
-                gens.append(w)
-        nxt = Subspace(d, gens)
-        out.append(nxt)
-        g_prev, g_cur = g_cur, nxt
-        if len(out) > 2 * algebra.step + 1:
-            raise RuntimeError("weight filtration did not terminate by index 2s")
-    return out
+from .ratlinalg import Subspace, fracvec, invert_matrix, is_zero_vec, vec_add, vec_mat
 
 
 class WeightFiltration:
@@ -144,18 +107,10 @@ class WeightFiltration:
     # -- exact coordinate changes ----------------------------------------
 
     def to_adapted(self, x: Sequence) -> ExactVector:
-        v = fracvec(x)
-        return tuple(
-            sum(v[k] * self.adapted_inv[k][j] for k in range(len(v)))
-            for j in range(len(v))
-        )
+        return vec_mat(fracvec(x), self.adapted_inv)
 
     def from_adapted(self, c: Sequence) -> ExactVector:
-        c = fracvec(c)
-        return tuple(
-            sum(c[j] * self.adapted_rows[j][k] for j in range(len(c)))
-            for k in range(len(c))
-        )
+        return vec_mat(fracvec(c), self.adapted_rows)
 
     def project(self, x: Sequence, i: int) -> ExactVector:
         """Component of x in m^(i), expressed in the original basis."""
@@ -280,13 +235,7 @@ class WeightFiltration:
         return tuple(rows)
 
     def apply_ax(self, y: Sequence) -> ExactVector:
-        c = self.to_adapted(y)
-        m = self.ax_matrix
-        out = tuple(
-            sum(c[j] * m[j][k] for j in range(len(c)))
-            for k in range(len(c))
-        )
-        return self.from_adapted(out)
+        return self.from_adapted(vec_mat(self.to_adapted(y), self.ax_matrix))
 
     @cached_property
     def ax_powers(self) -> list[tuple[tuple[Fraction, ...], ...]]:
@@ -297,10 +246,10 @@ class WeightFiltration:
         cur = ident
         k = 1
         while True:
-            cur = _mat_mul(cur, self.ax_matrix)
+            cur = tuple(vec_mat(row, self.ax_matrix) for row in cur)
             if all(is_zero_vec(row) for row in cur):
                 break
-            powers.append(tuple(tuple(x / Fraction(_factorial(k)) for x in row) for row in cur))
+            powers.append(tuple(tuple(x / math.factorial(k) for x in row) for row in cur))
             k += 1
             if k > 2 * self.algebra.step + 1:
                 raise RuntimeError("ad_X did not nilpotate within 2s steps")
@@ -309,18 +258,9 @@ class WeightFiltration:
     def exp_ax(self, t) -> list[list[Fraction]]:
         """exp(t * ax) as an exact matrix polynomial evaluated at rational t."""
         t = Fraction(t)
-        d = self.algebra.dim
-        out = [[Fraction(0)] * d for _ in range(d)]
-        tk = Fraction(1)
-        for k, mat in enumerate(self.ax_powers):
-            if k > 0:
-                tk *= t
-            for i in range(d):
-                row = mat[i]
-                for j in range(d):
-                    if row[j]:
-                        out[i][j] += tk * row[j]
-        return out
+        powers = self.ax_powers
+        tk = [t ** k for k in range(len(powers))]
+        return [list(vec_mat(tk, [mat[i] for mat in powers])) for i in range(self.algebra.dim)]
 
     def exp_ax_float(self, t: float) -> np.ndarray:
         d = self.algebra.dim
@@ -335,21 +275,6 @@ class WeightFiltration:
     def __repr__(self):
         dims = [s.dim for s in self.ideals if s.dim > 0]
         return f"WeightFiltration({self.algebra.name}, ideal dims={dims}, hom_dim={self.hom_dim})"
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def _nilpotency_step(dim: int, brackets: dict) -> int:

@@ -101,7 +101,7 @@ def reduced_domain_scan(filtration: WeightFiltration, measure: Measure,
                         xis: Sequence[FrequencyPoint], n_grid: Sequence[int],
                         n_replicas: int, gamma0: float, seed: int = 0,
                         nu_samples_adapted: Optional[np.ndarray] = None,
-                        chunk_size: int = 250_000, workers: int = 1) -> dict:
+                        workers: int = 1) -> dict:
     """Modulus of the empirical transform over a frequency list and an N grid.
 
     Rows carry the inside/outside classification per N.  For outside
@@ -112,7 +112,7 @@ def reduced_domain_scan(filtration: WeightFiltration, measure: Measure,
     rows = []
     for n in n_grid:
         cfg = WalkConfig(filtration, measure, n_steps=int(n), n_replicas=n_replicas,
-                         seed=seed, chunk_size=chunk_size, workers=workers)
+                         seed=seed, workers=workers)
         rep = empirical_char_many(cfg, xis)
         dil = np.power(float(n), filtration.weights_array / 2.0)
         for j, xi in enumerate(xis):

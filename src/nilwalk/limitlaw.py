@@ -27,6 +27,10 @@ import numpy as np
 from .filtration import WeightFiltration
 from .measures import AtomicMeasure, Measure, ProductMeasure
 
+# Limit-law samples folded per pass.  The chunks draw from one generator in
+# turn, so this size fixes the bank that a seed gives.
+LIMIT_CHUNK = 500_000
+
 
 def measure_moments_adapted(measure: Measure, wf: WeightFiltration,
                             mc_samples: int = 400_000, seed: int = 314) -> tuple[np.ndarray, np.ndarray]:
@@ -37,7 +41,7 @@ def measure_moments_adapted(measure: Measure, wf: WeightFiltration,
         cov = np.diag(measure.cov_diag())
         return mean @ ainv, ainv.T @ cov @ ainv
     if isinstance(measure, AtomicMeasure):
-        pts = measure._pts
+        pts = measure.pts
         w = np.array([float(x) for x in measure.weights])
         mean = w @ pts
         centered = pts - mean
@@ -54,13 +58,17 @@ class DiffusionSpec:
 
     ``noise_basis`` has one row per first-layer direction and satisfies
     rows.T @ rows = Cov(abelianized law); ``drift2`` is the second-layer
-    mean.  ``n_time_steps`` is the Euler grid size on [0, 1].
+    mean.  ``n_time_steps`` is the Euler grid size on [0, 1], at least 1.
     """
 
     filtration: WeightFiltration
     noise_basis: np.ndarray
     drift2: np.ndarray
     n_time_steps: int = 2048
+
+    def __post_init__(self):
+        if self.n_time_steps < 1:
+            raise ValueError(f"the diffusion needs at least 1 time step, got {self.n_time_steps}")
 
     @classmethod
     def from_measure(cls, filtration: WeightFiltration, measure: Measure,
@@ -92,9 +100,10 @@ class DiffusionSpec:
                    n_time_steps=n_time_steps)
 
 
-def simulate_limit(spec: DiffusionSpec, rng: np.random.Generator, n_samples: int,
-                   chunk_size: int = 500_000) -> np.ndarray:
-    """Samples of the time-1 law, adapted coordinates, shape (n, dim)."""
+def simulate_limit(spec: DiffusionSpec, rng: np.random.Generator, n_samples: int) -> np.ndarray:
+    """Samples of the time-1 law, adapted coordinates, shape (n, dim), n >= 1."""
+    if n_samples < 1:
+        raise ValueError(f"the limit bank needs at least 1 sample, got {n_samples}")
     wf = spec.filtration
     d = wf.algebra.dim
     K = spec.n_time_steps
@@ -111,7 +120,7 @@ def simulate_limit(spec: DiffusionSpec, rng: np.random.Generator, n_samples: int
     out = np.empty((n_samples, d))
     done = 0
     while done < n_samples:
-        m = min(chunk_size, n_samples - done)
+        m = min(LIMIT_CHUNK, n_samples - done)
         sigma = np.zeros((m, d))
         for j in range(K):
             xi = rng.standard_normal((m, q))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import ExactVector, NilpotentAlgebra
 from .filtration import WeightFiltration
-from .ratlinalg import fracvec
+from .ratlinalg import fracvec, vec_mat
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -192,32 +192,27 @@ class AtomicMeasure(Measure):
         if any(len(p) != algebra.dim for p in self.points):
             raise ValueError("atom dimension mismatch")
         self.aperiodic = aperiodic
-        self._pts = np.array([[float(c) for c in p] for p in self.points])
+        self.pts = np.array([[float(c) for c in p] for p in self.points])
         self._cum = np.cumsum([float(w) for w in self.weights])
 
     def sample(self, rng, size):
         u = rng.random(size)
         idx = np.searchsorted(self._cum, u, side="right").clip(0, len(self.points) - 1)
-        return self._pts[idx]
+        return self.pts[idx]
 
     def sample_steps(self, rng, steps, size):
         # Generator.random fills in order, so one call draws the same stream
         return self.sample(rng, steps * size)
 
     def mean_exact(self) -> ExactVector:
-        d = self.algebra.dim
-        out = [Fraction(0)] * d
-        for p, w in zip(self.points, self.weights):
-            for k in range(d):
-                out[k] += w * p[k]
-        return tuple(out)
+        return vec_mat(self.weights, self.points)
 
     def mean_float(self):
         return np.array([float(c) for c in self.mean_exact()])
 
     def char_original(self, freqs):
         freqs = np.atleast_2d(np.asarray(freqs, dtype=float))
-        phases = np.exp(-2j * np.pi * (freqs @ self._pts.T))
+        phases = np.exp(-2j * np.pi * (freqs @ self.pts.T))
         w = np.array([float(x) for x in self.weights])
         return phases @ w
 

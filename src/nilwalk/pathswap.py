@@ -38,7 +38,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .freealg import (
     DEFAULT_TERM_BUDGET,
     FreePoly,
-    evaluate_lie,
     product_degree_part,
     product_support_size_part,
 )
@@ -279,11 +278,10 @@ def block_bracket_sides(system: BlockSystem, sigma: FElement, tau: FElement, j: 
     system, with zero vectors strictly left of the central block of large
     block j.  Returns (lhs, rhs) as coordinate tuples.
     """
-    a, k, n = system.a, system.k, system.n_indices
+    a, n = system.a, system.n_indices
     for i in range(1, a):
         if ((i, j) in sigma.active) == ((i, j) in tau.active):
             raise ValueError("fact 3(ii) needs sigma, tau to differ in every component on block j")
-    zero = algebra.zero_vector()
     for off in range(-(a - 1), 0):
         for p in system.block_positions(j, off):
             if any(c != 0 for c in xs[p]):
@@ -293,14 +291,7 @@ def block_bracket_sides(system: BlockSystem, sigma: FElement, tau: FElement, j: 
     inside = piece.support_within(system.large_block(j))
     op = swap_operator(system, sigma, tau)
     moved = apply_operator(op, inside)
-    lhs = evaluate_lie(
-        moved, list(xs),
-        bracket=algebra.bracket_exact,
-        add=algebra.add_exact,
-        scale=algebra.scale_exact,
-        zero=zero,
-    )
-    return lhs, block_bracket_rhs(system, sigma, j, algebra, xs)
+    return algebra.evaluate_poly_exact(moved, xs), block_bracket_rhs(system, sigma, j, algebra, xs)
 
 
 def block_bracket_rhs(system: BlockSystem, sigma: FElement, j: int, algebra, xs: Sequence):

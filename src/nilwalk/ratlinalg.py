@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Subspaces of Q^d are stored through reduced row echelon bases, so rank,
-containment and equality questions are decided exactly.  Everything here
-runs on ``fractions.Fraction``; floating point never enters.  The rest of
-the package leans on this for filtration ideals, supplements and adapted
-bases, where a wrong rank decision would silently corrupt weights.
+containment and equality questions are decided exactly.  ``rref`` is the
+only elimination: solving in a basis and inverting a matrix both take the
+rref of [rows | I], and ``vec_mat`` is the one row-vector-times-matrix
+product.  Everything here runs on ``fractions.Fraction``; floating point
+never enters.  The rest of the package leans on this for filtration
+ideals, supplements and adapted bases, where a wrong rank decision would
+silently corrupt weights.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ Vector = tuple[Fraction, ...]
 
 def fracvec(v: Iterable) -> Vector:
     """Coerce a sequence of ints/Fractions/strings into a Fraction tuple."""
-    return tuple(Fraction(x) for x in v)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in v)
 
 
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
@@ -51,12 +54,13 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> list[Vector]:
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Fraction(1, 1) / mat[r][c]
-        mat[r] = [inv * x for x in mat[r]]
+        if mat[r][c] != 1:
+            inv = 1 / mat[r][c]
+            mat[r] = [inv * x for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
                 f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                mat[i] = [x - f * y if y else x for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -143,75 +147,38 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
+def vec_mat(v: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]) -> Vector:
+    """Row vector times matrix: sum_k v[k] * rows[k], exact."""
+    return tuple(sum(a * b for a, b in zip(v, col)) for col in zip(*rows))
+
+
+def _augmented_rref(rows: Sequence[Sequence]) -> tuple[list[Vector], list[Vector]]:
+    """rref of [rows | I], split into the rref of the rows and, for each of
+    its rows, the combination of the input rows that gives it."""
+    n = len(rows)
+    full = rref([*r, *(Fraction(int(i == j)) for j in range(n))] for i, r in enumerate(rows))
+    d = len(full[0]) - n if full else 0
+    echelon = [(row[:d], row[d:]) for row in full if not is_zero_vec(row[:d])]
+    return [left for left, _ in echelon], [right for _, right in echelon]
+
+
 def solve_in_basis(basis_rows: Sequence[Vector], v: Sequence) -> Optional[Vector]:
     """Express v as a combination of (not necessarily rref) basis rows.
 
-    Gaussian elimination on the augmented system; returns None when v is
-    not in the span.  Used to compute structure constants in a chosen
-    basis, so exactness matters and speed does not.
+    Reads v's coordinates in the rref of the rows and maps them back through
+    the recorded combinations; returns None when v is not in the span.
     """
-    rows = [list(r) for r in basis_rows]
-    n = len(rows)
-    if n == 0:
-        return () if is_zero_vec(fracvec(v)) else None
-    d = len(rows[0])
-    # augmented columns track the expression of each reduced row
-    aug = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    w = list(fracvec(v))
-    wc = [Fraction(0)] * n
-    col = 0
-    r = 0
-    while r < n and col < d:
-        pivot_row = None
-        for i in range(r, n):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [inv * x for x in rows[r]]
-        aug[r] = [inv * x for x in aug[r]]
-        for i in range(n):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        if w[col] != 0:
-            f = w[col]
-            w = [x - f * y for x, y in zip(w, rows[r])]
-            wc = [x - f * y for x, y in zip(wc, aug[r])]
-        r += 1
-        col += 1
-    # continue eliminating w against remaining pivot columns
-    for rr in range(r):
-        # find pivot col of row rr
-        pc = next((c for c, x in enumerate(rows[rr]) if x != 0), None)
-        if pc is not None and w[pc] != 0:
-            f = w[pc]
-            w = [x - f * y for x, y in zip(w, rows[rr])]
-            wc = [x - f * y for x, y in zip(wc, aug[rr])]
-    if not is_zero_vec(w):
+    v = fracvec(v)
+    span, combos = _augmented_rref(basis_rows)
+    coeffs = Subspace(len(v), span).coordinates_of(v)
+    if coeffs is None:
         return None
-    return tuple(-x for x in wc)
+    return vec_mat(coeffs, combos) if combos else (Fraction(0),) * len(basis_rows)
 
 
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
     """Exact inverse of a square rational matrix given as a list of rows."""
-    n = len(rows)
-    mat = [list(fracvec(r)) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
-        inv = Fraction(1) / mat[c][c]
-        mat[c] = [inv * x for x in mat[c]]
-        for i in range(n):
-            if i != c and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return [tuple(row[n:]) for row in mat]
+    span, combos = _augmented_rref(rows)
+    if len(span) < len(rows):
+        raise ValueError("matrix is singular")
+    return combos

@@ -281,6 +281,22 @@ def test_bad_recentering_is_a_validation_error_in_every_mode(tmp_path, heis_conf
     assert main(["walk", mode, "--config", str(heis_config)]) == 3
 
 
+@pytest.mark.parametrize("command, params", [
+    (["walk", "ratio"], {"diffusion_steps": 0}),
+    (["walk", "pixel"], {"diffusion_steps": 0}),
+    (["limit", "density"], {"diffusion_steps": 0}),
+    (["walk", "ratio"], {"nu_samples": 0}),
+    (["walk", "pixel"], {"nu_samples": 0}),
+    (["walk", "ratio"], {"diffusion_steps": -4}),
+])
+def test_empty_limit_grid_or_bank_is_a_validation_error(heis_config, command, params):
+    # enough replicas for the density estimate, so only the grid or bank can fail
+    cfg = json.loads(heis_config.read_text()) | {"M": 10_000}
+    cfg["params"] |= {"recenter": "none", "diffusion_steps": 4, "nu_samples": 500} | params
+    heis_config.write_text(json.dumps(cfg))
+    assert main(command + ["--config", str(heis_config)]) == 3
+
+
 def test_walk_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from nilwalk.algebra import abelian, filiform4, free_nilpotent, heisenberg3
+from nilwalk.algebra import abelian, builtin_algebra, filiform4, free_nilpotent, heisenberg3
 from nilwalk.filtration import (
     WeightFiltration,
     bias_extend,
@@ -58,6 +58,35 @@ def test_representative_independence(heis):
     base = weight_ideals(heis, [1, 0, 0])
     shifted = weight_ideals(heis, [1, 0, F(22, 7)])
     assert [s.basis for s in base] == [s.basis for s in shifted]
+
+
+BUILTINS = ["heisenberg3", "filiform4", "abelian(3)", "free-nilpotent(2,2)",
+            "free-nilpotent(2,3)", "free-nilpotent(2,4)", "free-nilpotent(3,2)",
+            "free-nilpotent(3,3)"]
+
+
+def central_series_reference(algebra):
+    """g^[i+1] = [g, g^[i]] until zero, for a nilpotent algebra."""
+    series = [Subspace.full(algebra.dim)]
+    while series[-1].dim > 0:
+        series.append(Subspace(algebra.dim, [algebra.bracket_exact(algebra.basis_vector(i), v)
+                                             for i in range(algebra.dim)
+                                             for v in series[-1].basis]))
+    return series
+
+
+@pytest.mark.parametrize("spec", BUILTINS)
+def test_weight_ideals_nest_and_vanish_by_2s(spec):
+    algebra = builtin_algebra(spec)
+    dcs = algebra.descending_central_series()
+    assert dcs == central_series_reference(algebra)
+    assert weight_ideals(algebra, algebra.zero_vector()) == dcs
+    for i in range(algebra.dim):
+        ideals = weight_ideals(algebra, algebra.basis_vector(i))
+        assert ideals[0] == Subspace.full(algebra.dim)
+        assert all(small.is_subspace_of(big) for big, small in zip(ideals, ideals[1:]))
+        assert ideals[-1].dim == 0 and all(s.dim > 0 for s in ideals[:-1])
+        assert len(ideals) <= 2 * algebra.step  # g^(2s) = 0
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS, ids=lambda a: a.name)

@@ -115,7 +115,7 @@ def test_truncated_fraction_decays(heis, heis_centered, heis_gauss):
 def test_truncation_map_matches_atom_transform(heis, heis_centered):
     m = AtomicMeasure(heis, [(2, 0, 0), (F(-2, 3), 0, 0)], [F(1, 4), F(3, 4)])
     tm = truncate(m, heis_centered, 1)
-    pts = heis_centered.to_adapted_float(m._pts)
+    pts = heis_centered.to_adapted_float(m.pts)
     clipped = tm.apply_map_adapted(pts)
     expected = np.array([[float(c) for c in heis_centered.to_adapted(p)]
                          for p in truncated_atoms(tm).points])

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nilwalk.ratlinalg import Subspace, fracvec, invert_matrix, rref, solve_in_basis
+from nilwalk.ratlinalg import Subspace, fracvec, invert_matrix, rref, solve_in_basis, vec_mat
 
 frac = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 vec4 = st.lists(frac, min_size=4, max_size=4)
@@ -80,3 +80,50 @@ def test_invert_matrix():
     assert inv[1] == (Fraction(3, 2), Fraction(-1, 2))
     with pytest.raises(ValueError):
         invert_matrix([fracvec([1, 2]), fracvec([2, 4])])
+
+
+@given(st.lists(vec4, min_size=1, max_size=4), st.lists(frac, min_size=4, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_solve_in_basis_recovers_coefficients(rows, coeffs):
+    rows = [fracvec(r) for r in rows]
+    assume(Subspace(4, rows).dim == len(rows))
+    coeffs = fracvec(coeffs[:len(rows)])
+    assert solve_in_basis(rows, vec_mat(coeffs, rows)) == coeffs
+
+
+@given(st.lists(vec4, min_size=1, max_size=3), vec4)
+@settings(max_examples=60, deadline=None)
+def test_solve_in_basis_rejects_vectors_off_the_span(rows, v):
+    rows = [fracvec(r) for r in rows]
+    assume(not Subspace(4, rows).contains(v))
+    assert solve_in_basis(rows, v) is None
+
+
+def test_solve_in_basis_empty_basis():
+    assert solve_in_basis([], [0, 0, 0]) == ()
+    assert solve_in_basis([], [0, 1, 0]) is None
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(frac, min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=60, deadline=None)
+def test_invert_matrix_roundtrip(rows):
+    rows = [fracvec(r) for r in rows]
+    n = len(rows)
+    assume(Subspace(n, rows).dim == n)
+    inv = invert_matrix(rows)
+    eye = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    assert [vec_mat(row, rows) for row in inv] == eye
+    assert [vec_mat(row, inv) for row in rows] == eye
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.lists(frac, min_size=n, max_size=n), min_size=n - 1, max_size=n - 1)),
+    st.lists(frac, min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_invert_matrix_rejects_rank_deficient(rows, coeffs):
+    rows = [fracvec(r) for r in rows]
+    # the last row is a combination of the others
+    rows.append(vec_mat(fracvec(coeffs[:len(rows)]), rows))
+    with pytest.raises(ValueError):
+        invert_matrix(rows)
