@@ -14,10 +14,18 @@ product is generated once per nilpotency class by the free-algebra engine
 and cached, which keeps a single source of truth for the series.  The
 float mode evaluates the same series, expanded once per algebra into exact
 polynomials in the coordinates of the two factors.
+
+Exact mode takes and returns Fractions, but evaluates Lie elements on
+integers inside: each algebra caches its table as an integer tensor over
+one denominator (``integer_table``), ``evaluate_poly_exact`` puts its
+inputs over one denominator and builds one Fraction per output
+coordinate, and the Jacobi check in ``validate`` is one contraction of
+that tensor.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
@@ -25,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .freealg import FreePoly, dynkin_product, evaluate_lie
-from .ratlinalg import Subspace, fracvec, is_zero_vec, solve_in_basis
+from .ratlinalg import Subspace, fracvec, solve_in_basis
 
 ExactVector = tuple[Fraction, ...]
 Monomial = tuple[int, ...]
@@ -81,6 +89,24 @@ class _Poly(dict):
 
     def __rsub__(self, other) -> "_Poly":
         return self * -1 + other
+
+
+def _numerators(vecs: Sequence[Sequence[Fraction]]) -> tuple[int, list[tuple[int, ...]]]:
+    """(q, ints): q is the lcm of every entry's denominator and ints[i] = q * vecs[i]."""
+    q = math.lcm(*(c.denominator for v in vecs for c in v))
+    return q, [tuple(c.numerator * (q // c.denominator) for c in v) for v in vecs]
+
+
+def _bracket_int(entries, u: Sequence[int], v: Sequence[int], dim: int) -> list[int]:
+    """[u, v] times D for integer vectors, from ``integer_table`` entries."""
+    out = [0] * dim
+    if any(u) and any(v):
+        for i, j, comp in entries:
+            w = u[i] * v[j] - u[j] * v[i]
+            if w:
+                for k, c in comp:
+                    out[k] += c * w
+    return out
 
 
 class NilpotentAlgebra:
@@ -149,15 +175,56 @@ class NilpotentAlgebra:
         return acc
 
     def evaluate_poly_exact(self, poly: FreePoly, xs: Sequence[Sequence[Fraction]]) -> ExactVector:
-        """Evaluate a Lie element of the free algebra on exact vectors."""
+        """Evaluate a Lie element of the free algebra on exact vectors.
+
+        The Dynkin rule of ``evaluate_lie``, run on integers: with the
+        inputs put over one denominator q, the left-nested bracket of a
+        word of length r is an integer vector over q^r D^(r-1) (D is the
+        denominator of ``integer_table``), left-nested prefixes are shared,
+        and every word is added over den * lcm(1..s) * q^s * D^(s-1).  The
+        d output Fractions are built once, at the end.
+        """
         vecs = [fracvec(x) for x in xs]
         if any(len(v) != self.dim for v in vecs):
             raise DimensionMismatch("coordinate length does not match the algebra")
-        return evaluate_lie(
-            poly, vecs,
-            bracket=self.bracket_exact, add=self.add_exact,
-            scale=self.scale_exact, zero=self.zero_vector(),
-        )
+        if not poly.num:
+            return self.zero_vector()
+        if min(map(len, poly.num)) == 0:
+            raise ValueError("constant terms cannot be evaluated as Lie elements")
+        q, letters = _numerators(vecs)
+        D, entries = self.integer_table
+        s = max(map(len, poly.num))
+        lcm_s = math.lcm(*range(1, s + 1))
+        qD = q * D
+        weight = [0] + [lcm_s // r * qD ** (s - r) for r in range(1, s + 1)]
+        cache: dict[bytes, Sequence[int]] = {}
+
+        def nested(w: bytes) -> Sequence[int]:
+            v = cache.get(w)
+            if v is None:
+                v = cache[w] = (_bracket_int(entries, nested(w[:-1]), letters[w[-1]], self.dim)
+                                if len(w) > 1 else letters[w[0]])
+            return v
+
+        acc = [0] * self.dim
+        for w, c in poly.num.items():
+            v = nested(w)
+            if any(v):
+                f = c * weight[len(w)]
+                for k, vk in enumerate(v):
+                    if vk:
+                        acc[k] += f * vk
+        den = poly.den * lcm_s * q ** s * D ** (s - 1)
+        return tuple(Fraction(a, den) for a in acc)
+
+    @cached_property
+    def integer_table(self) -> tuple[int, tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]:
+        """(D, entries): D is the lcm of the constants' denominators and
+        entries lists (i, j, ((k, D * c_ijk), ...)) for every nonzero
+        [e_i, e_j] with i < j, so the table is the integer tensor over D."""
+        D = math.lcm(*(c.denominator for comp in self.table.values() for c in comp.values()))
+        return D, tuple((i, j, tuple((k, int(c * D)) for k, c in comp.items()))
+                        for (i, j), comp in self.table.items())
 
     # -- the compiled group law ----------------------------------------------
 
@@ -242,21 +309,31 @@ class NilpotentAlgebra:
         return weight_ideals(self, self.zero_vector())
 
     def validate(self) -> None:
-        """Exact antisymmetry (by construction), Jacobi, and class check."""
-        basis = [self.basis_vector(i) for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                bij = self.bracket_exact(basis[i], basis[j])
-                for k in range(j + 1, self.dim):
-                    jac = self.add_exact(
-                        self.bracket_exact(bij, basis[k]),
-                        self.add_exact(
-                            self.bracket_exact(self.bracket_exact(basis[j], basis[k]), basis[i]),
-                            self.bracket_exact(self.bracket_exact(basis[k], basis[i]), basis[j]),
-                        ),
-                    )
-                    if not is_zero_vec(jac):
-                        raise ValueError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
+        """Exact antisymmetry (by construction), Jacobi, and class check.
+
+        Jacobi is trilinear, so it is checked on basis triples i < j < k by
+        one contraction of the integer table: T(a, b, c) = [[e_a, e_b], e_c]
+        for a < b, and J(i, j, k) = T(i, j, k) + T(j, k, i) - T(i, k, j).
+        The first failing triple in lexicographic order is reported.
+        """
+        _, entries = self.integer_table
+        ad: dict[int, list] = {}  # m -> [(c, ((l, D [e_m, e_c]_l), ...))], c on either side of m
+        for i, j, comp in entries:
+            ad.setdefault(i, []).append((j, comp))
+            ad.setdefault(j, []).append((i, tuple((k, -c) for k, c in comp)))
+        jac: dict[tuple[int, int, int], dict[int, int]] = {}
+        for a, b, comp in entries:
+            for m, c1 in comp:
+                for c, comp2 in ad.get(m, ()):
+                    if c == a or c == b:
+                        continue
+                    sign = -c1 if a < c < b else c1
+                    out = jac.setdefault(tuple(sorted((a, b, c))), {})
+                    for l, c2 in comp2:
+                        out[l] = out.get(l, 0) + sign * c2
+        failing = [t for t, out in jac.items() if any(out.values())]
+        if failing:
+            raise ValueError("Jacobi identity fails on basis triple ({},{},{})".format(*min(failing)))
         series = self.descending_central_series()
         actual_step = len(series) - 1  # g^[s+1] = 0 and g^[s] != 0
         if actual_step != self.step:
@@ -275,16 +352,23 @@ def weight_ideals(algebra: NilpotentAlgebra, xbar: Sequence) -> list[Subspace]:
     representative (checked in the tests).  The zero drift gives the
     descending central series.  The chain is nested, so above zero it can
     only end by standing still, which makes the table not nilpotent.
+    A span does not change when its generators are scaled, so the brackets
+    are taken on integer numerators with ``integer_table`` and never
+    divided back.
     """
-    x = fracvec(xbar)
-    drift = not is_zero_vec(x)
-    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
-    chain = [Subspace.full(algebra.dim)] * 2  # g^(0), g^(1)
+    d = algebra.dim
+    _, entries = algebra.integer_table
+    _, (x,) = _numerators([fracvec(xbar)])
+    if len(x) != d:
+        raise DimensionMismatch("drift length does not match the algebra")
+    basis = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    chain = [Subspace.full(d)] * 2  # g^(0), g^(1)
     while chain[-1].dim > 0:
-        gens = [algebra.bracket_exact(b, v) for b in basis for v in chain[-1].basis]
-        if drift:  # the central series, validated on every build, skips these
-            gens += [algebra.bracket_exact(x, v) for v in chain[-2].basis]
-        chain.append(Subspace(algebra.dim, [g for g in gens if not is_zero_vec(g)]))
+        top = _numerators(chain[-1].basis)[1]
+        gens = [_bracket_int(entries, b, v, d) for b in basis for v in top]
+        if any(x):  # the central series, validated on every build, skips these
+            gens += [_bracket_int(entries, x, v, d) for v in _numerators(chain[-2].basis)[1]]
+        chain.append(Subspace(d, [g for g in gens if any(g)]))
         if chain[-1] == chain[-2] == chain[-3]:
             raise ValueError("algebra is not nilpotent: central series stalls")
     return chain[1:]

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,7 +18,8 @@ from nilwalk.algebra import (
     heisenberg3,
 )
 from nilwalk.filtration import WeightFiltration
-from nilwalk.freealg import dynkin_product
+from nilwalk.freealg import FreePoly, dynkin_product, evaluate_lie, product_support_size_part
+from nilwalk.pathswap import BlockSystem, apply_operator, block_bracket_sides, sample_pairs, swap_operator
 
 
 def heisenberg_closed_form(x, y):
@@ -145,9 +148,42 @@ def test_validation_rejects_bad_tables():
     # step mismatch
     with pytest.raises(ValueError):
         NilpotentAlgebra(3, 3, {(0, 1): {2: 1}})
-    # Jacobi violation: [e1,e2]=e3, [e1,e3]=e2 is not nilpotent/Jacobi-safe
+    # [e1,e2]=e3, [e1,e3]=e2 satisfies Jacobi but is not nilpotent
     with pytest.raises(ValueError):
         NilpotentAlgebra(3, 2, {(0, 1): {2: 1}, (0, 2): {1: 1}})
+    # [e1,e2]=e3, [e3,e4]=e5 breaks Jacobi: [[e1,e2],e4] = -e5, the other two terms vanish
+    with pytest.raises(ValueError, match=re.escape("Jacobi identity fails on basis triple (0,1,3)")):
+        NilpotentAlgebra(5, 3, {(0, 1): {2: 1}, (2, 3): {4: 1}})
+
+
+def _first_jacobi_failure(alg):
+    """Lexicographically first basis triple i < j < k where nested brackets break Jacobi."""
+    e = [alg.basis_vector(i) for i in range(alg.dim)]
+    br = alg.bracket_exact
+    for i, j, k in itertools.combinations(range(alg.dim), 3):
+        terms = (br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i]), br(br(e[k], e[i]), e[j]))
+        if any(sum(t[l] for t in terms) for l in range(alg.dim)):
+            return (i, j, k)
+    return None
+
+
+def test_jacobi_contraction_matches_nested_brackets():
+    rng = random.Random(2024)
+    failures = 0
+    for _ in range(300):
+        d = rng.randint(3, 6)
+        brackets = {(i, j): {rng.randrange(d): F(rng.randint(-2, 2), rng.randint(1, 3))}
+                    for i, j in itertools.combinations(range(d), 2) if rng.random() < 0.35}
+        expected = _first_jacobi_failure(NilpotentAlgebra(d, 1, brackets, validate=False))
+        try:
+            NilpotentAlgebra(d, 1, brackets)
+            found = None
+        except ValueError as err:
+            m = re.fullmatch(r"Jacobi identity fails on basis triple \((\d),(\d),(\d)\)", str(err))
+            found = tuple(map(int, m.groups())) if m else None
+        assert found == expected, brackets
+        failures += expected is not None
+    assert 50 < failures < 250  # both verdicts are exercised
 
 
 def test_builtin_parsing():
@@ -245,3 +281,98 @@ def test_product_map_is_cached_and_blocks_rows_exactly():
     rows = np.array([pm(a, b) for a, b in zip(x, y)])
     assert np.array_equal(pm(x, y), rows)
     assert np.array_equal(pm(x, shift[None, :]), np.array([pm(a, shift) for a in x]))
+
+
+# -- the integer Lie evaluator --------------------------------------------------------
+
+
+def fractional_algebra():
+    """Constants 2/3, 5/7 and -1/2, so the integer table has D = 42; class 4."""
+    return NilpotentAlgebra(6, 4, {(0, 1): {2: F(2, 3)}, (0, 2): {3: F(5, 7)},
+                                   (1, 2): {4: F(-1, 2)}, (0, 3): {5: 1}}, name="fractional")
+
+
+EVALUATOR_ALGEBRAS = dict(GUARD_ALGEBRAS, fractional=fractional_algebra)
+
+
+def reference_evaluate(alg, poly, xs):
+    """The Dynkin rule on Fraction vectors, through nested bracket_exact."""
+    return evaluate_lie(poly, [tuple(F(c) for c in x) for x in xs], alg.bracket_exact,
+                        alg.add_exact, alg.scale_exact, alg.zero_vector())
+
+
+def _mixed_vector(rng, dim):
+    """Entries with unrelated denominators, plain ints and zeros."""
+    return tuple(rng.choice((F(rng.randint(-9, 9), rng.randint(1, 12)), rng.randint(-3, 3), 0))
+                 for _ in range(dim))
+
+
+def test_fractional_table_has_denominator_42():
+    assert fractional_algebra().integer_table[0] == 42
+    assert all(GUARD_ALGEBRAS[name]().integer_table[0] == 1 for name in GUARD_ALGEBRAS)
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATOR_ALGEBRAS))
+def test_integer_evaluator_matches_fraction_reference(name):
+    alg = EVALUATOR_ALGEBRAS[name]()
+    rng = random.Random("evaluate-" + name)
+    for n in (2, 3, 4):
+        poly = dynkin_product(n, alg.step)
+        for trial in range(3):
+            xs = [_mixed_vector(rng, alg.dim) for _ in range(n)]
+            if trial == 1:
+                xs[rng.randrange(n)] = (0,) * alg.dim
+            got = alg.evaluate_poly_exact(poly, xs)
+            assert got == reference_evaluate(alg, poly, xs)
+            assert all(type(c) is F for c in got)
+
+
+def test_integer_evaluator_edge_inputs():
+    alg = fractional_algebra()
+    poly = dynkin_product(3, alg.step)
+    zero = (0,) * alg.dim
+    assert alg.evaluate_poly_exact(poly, [zero] * 3) == alg.zero_vector()
+    assert alg.evaluate_poly_exact(FreePoly.zero(2, 4), [zero, zero]) == alg.zero_vector()
+    ints = [(1, -2, 3, 0, 1, 0), (0, 4, -1, 2, 0, 5), (-3, 0, 0, 1, 1, 1)]
+    assert alg.evaluate_poly_exact(poly, ints) == reference_evaluate(alg, poly, ints)
+    with pytest.raises(DimensionMismatch):
+        alg.evaluate_poly_exact(poly, [zero, zero, (0, 0)])
+    with pytest.raises(ValueError):
+        alg.evaluate_poly_exact(FreePoly.unit(2, 4), [zero, zero])
+
+
+@pytest.mark.parametrize("a,k,nprime,name", [(2, 1, 2, "heisenberg3"), (2, 2, 1, "fractional"),
+                                             (3, 1, 1, "free(3,3)"), (3, 1, 1, "fractional")])
+def test_integer_evaluator_on_swap_pieces(a, k, nprime, name):
+    """The element fact 3 evaluates: the swap operator on the degree-a,
+    support-size-a piece inside large block j, on inputs that are zero left
+    of the central block as fact 3 requires, and on unrestricted inputs."""
+    alg = EVALUATOR_ALGEBRAS[name]()
+    bs = BlockSystem(a, k, nprime)
+    rng = random.Random(f"swap-{a}{k}{nprime}-{name}")
+    piece = product_support_size_part(bs.n_indices, a, alg.step).degree_part(a)
+    checked = 0
+    for sigma, tau in sample_pairs(bs, limit=3):
+        for j in range(nprime):
+            if any(((i, j) in sigma.active) == ((i, j) in tau.active) for i in range(1, a)):
+                continue
+            moved = apply_operator(swap_operator(bs, sigma, tau), piece.support_within(bs.large_block(j)))
+            left = {p for off in range(1, a) for p in bs.block_positions(j, -off)}
+            xs = [(0,) * alg.dim if p in left else _mixed_vector(rng, alg.dim)
+                  for p in range(bs.n_indices)]
+            assert alg.evaluate_poly_exact(moved, xs) == reference_evaluate(alg, moved, xs)
+            lhs, rhs = block_bracket_sides(bs, sigma, tau, j, alg, xs)
+            assert lhs == rhs
+            xs = [_mixed_vector(rng, alg.dim) for _ in range(bs.n_indices)]
+            assert alg.evaluate_poly_exact(moved, xs) == reference_evaluate(alg, moved, xs)
+            checked += 1
+    assert checked >= 2
+
+
+def test_bch_exact_matches_heisenberg_closed_form_at_random_rationals():
+    h = heisenberg3()
+    rng = random.Random(99)
+    for _ in range(200):
+        x, y = (tuple(F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(3))
+                for _ in range(2))
+        assert h.bch_exact(x, y) == heisenberg_closed_form(x, y)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from nilwalk.algebra import abelian, builtin_algebra, filiform4, free_nilpotent, heisenberg3
+from nilwalk.algebra import NilpotentAlgebra, abelian, builtin_algebra, filiform4, free_nilpotent, heisenberg3
 from nilwalk.filtration import (
     WeightFiltration,
     bias_extend,
@@ -12,7 +12,7 @@ from nilwalk.filtration import (
     weight_ideals,
 )
 from nilwalk.freealg import dynkin_product
-from nilwalk.ratlinalg import Subspace, is_zero_vec, vec_add
+from nilwalk.ratlinalg import Subspace, is_zero_vec, solve_in_basis, vec_add
 
 ALGEBRAS = [heisenberg3(), filiform4(), free_nilpotent(2, 3), abelian(3)]
 
@@ -73,6 +73,50 @@ def central_series_reference(algebra):
                                              for i in range(algebra.dim)
                                              for v in series[-1].basis]))
     return series
+
+
+def weight_ideals_reference(algebra, x):
+    """The weight-ideal recursion on Fraction brackets, ideals as spans."""
+    full = Subspace.full(algebra.dim)
+    chain = [full, full]
+    while chain[-1].dim > 0:
+        gens = [algebra.bracket_exact(algebra.basis_vector(i), v)
+                for i in range(algebra.dim) for v in chain[-1].basis]
+        gens += [algebra.bracket_exact(x, v) for v in chain[-2].basis]
+        chain.append(Subspace(algebra.dim, gens))
+    return chain[1:]
+
+
+def rebased(algebra, rows):
+    """The same algebra written in the basis ``rows`` (a rational change of basis)."""
+    brackets = {}
+    for i in range(algebra.dim):
+        for j in range(i + 1, algebra.dim):
+            coeffs = solve_in_basis(rows, algebra.bracket_exact(rows[i], rows[j]))
+            brackets[(i, j)] = {k: c for k, c in enumerate(coeffs) if c}
+    return NilpotentAlgebra(algebra.dim, algebra.step, brackets)
+
+
+@pytest.mark.parametrize("spec", ["filiform4", "free-nilpotent(2,3)"])
+def test_weight_ideals_on_rational_tables_match_fraction_recursion(spec):
+    """A random rational basis gives fractional structure constants and ideals
+    whose rref rows are not integral; the integer recursion must reproduce
+    the Fraction one at every drift."""
+    base = builtin_algebra(spec)
+    rng = random.Random(spec)
+    d = base.dim
+    rows = [tuple(F(rng.randint(1, 4), rng.randint(1, 5)) if j == i
+                  else F(rng.randint(-3, 3), rng.randint(1, 4)) if j < i else F(0)
+                  for j in range(d)) for i in range(d)]
+    alg = rebased(base, rows)
+    assert alg.integer_table[0] > 1
+    drifts = [alg.zero_vector()] + [alg.basis_vector(i) for i in range(d)]
+    fractional_rows = 0
+    for x in drifts + list(random_drifts(alg, 4, seed=d)):
+        got = weight_ideals(alg, x)
+        assert got == weight_ideals_reference(alg, tuple(F(c) for c in x))
+        fractional_rows += sum(c.denominator > 1 for sub in got for row in sub.basis for c in row)
+    assert fractional_rows > 0
 
 
 @pytest.mark.parametrize("spec", BUILTINS)
