@@ -16,6 +16,12 @@ Two groups of reprs are hashed, each printed with its count:
              extended algebra's bch_exact on rational pairs, multi_product_exact
              on four factors, and both sides of fact 3 on acceptance 1's
              block systems
+  laws       group_law (each coordinate's terms sorted) of every algebra
+             above and of its adapted and graded algebras at each drift,
+             and bigraded_evaluate of the two-letter group product at every
+             (degree, w-degree) with 1 <= degree <= s and
+             degree <= w-degree <= degree * L (L the largest weight), for
+             the algebras of dimension at most 5 at the drifts 0, e1 and e2
 
 Run it on two source trees and compare the lines:
 
@@ -93,6 +99,28 @@ def products(alg, filtrations, rng):
             yield ext.bch_exact(vec(ext.dim), vec(ext.dim))
 
 
+def laws(alg, filtrations, rng):
+    from nilwalk.filtration import bigraded_evaluate
+    from nilwalk.freealg import dynkin_product
+
+    def law(a):
+        return tuple(sorted(p.items()) for p in a.group_law)
+
+    yield law(alg)
+    for wf in filtrations:
+        yield law(wf.adapted_algebra)
+        yield law(wf.graded_algebra)
+    if alg.dim > 5:
+        return
+    poly = dynkin_product(2, alg.step)
+    for wf in filtrations[:3]:
+        xs = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(alg.dim))
+              for _ in range(2)]
+        for degree in range(1, alg.step + 1):
+            for wdegree in range(degree, degree * wf.max_weight + 1):
+                yield bigraded_evaluate(poly, wf, degree, wdegree, xs)
+
+
 def fact3(rng):
     from nilwalk.algebra import free_nilpotent, heisenberg3
     from nilwalk.pathswap import BlockSystem, FElement, block_bracket_sides
@@ -118,11 +146,13 @@ def main() -> int:
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
 
-    groups = {"structure": [], "products": []}
+    groups = {"structure": [], "products": [], "laws": []}
     rng = random.Random(20231201)
+    laws_rng = random.Random(20261019)
     for alg, filtrations in cases():
         groups["structure"] += [repr(r) for r in structure(alg, filtrations)]
         groups["products"] += [repr(r) for r in products(alg, filtrations, rng)]
+        groups["laws"] += [repr(r) for r in laws(alg, filtrations, laws_rng)]
     groups["products"] += [repr(r) for r in fact3(rng)]
     for name, reprs in groups.items():
         digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()

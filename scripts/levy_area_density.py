@@ -12,7 +12,8 @@ import numpy as np
 
 from nilwalk.algebra import heisenberg3
 from nilwalk.filtration import WeightFiltration
-from nilwalk.limitlaw import DiffusionSpec, kde_density, levy_area_reference, simulate_limit
+from nilwalk.limitlaw import (KDE_MIN_SAMPLES, DiffusionSpec, kde_density, levy_area_reference,
+                              simulate_limit)
 from nilwalk.measures import Dirac1D, Gaussian1D, ProductMeasure
 
 
@@ -22,6 +23,8 @@ def main():
     ap.add_argument("--time-steps", type=int, default=2048)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
+    if args.samples < KDE_MIN_SAMPLES:
+        ap.error(f"--samples must be at least {KDE_MIN_SAMPLES} for the kernel density estimate")
 
     la = levy_area_reference(np.random.default_rng(args.seed), args.samples,
                              args.time_steps)

@@ -13,14 +13,16 @@ coefficients are not transcribed from a table: the two-letter group
 product is generated once per nilpotency class by the free-algebra engine
 and cached, which keeps a single source of truth for the series.  The
 float mode evaluates the same series, expanded once per algebra into exact
-polynomials in the coordinates of the two factors.
+polynomials in the coordinates of the two factors (``group_law``).
 
-Exact mode takes and returns Fractions, but evaluates Lie elements on
-integers inside: each algebra caches its table as an integer tensor over
-one denominator (``integer_table``), ``evaluate_poly_exact`` puts its
-inputs over one denominator and builds one Fraction per output
-coordinate, and the Jacobi check in ``validate`` is one contraction of
-that tensor.
+Exact mode takes and returns Fractions, but works on integers inside.
+Each algebra caches its table as an integer tensor over one denominator
+(``integer_table``), and that tensor, through ``_bracket_int``, is the
+only code that applies structure constants: ``bracket_exact``, the
+evaluator ``evaluate_poly_exact``, the nested basis brackets behind
+``group_law`` and the brackets of ``weight_ideals`` all run on it, and
+the Jacobi check in ``validate`` is one contraction of it.  Fractions
+are built once per output coordinate or coefficient.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .freealg import FreePoly, dynkin_product, evaluate_lie
+from .freealg import FreePoly, dynkin_product
 from .ratlinalg import Subspace, fracvec, solve_in_basis
 
 ExactVector = tuple[Fraction, ...]
@@ -52,43 +54,6 @@ class DimensionMismatch(ValueError):
 @lru_cache(maxsize=32)
 def _bch_poly(step: int) -> FreePoly:
     return dynkin_product(2, step)
-
-
-class _Poly(dict):
-    """Commutative polynomial over Fractions: monomial (sorted tuple of
-    variable indices) -> coefficient.  Supplies the arithmetic that
-    ``bracket_exact`` and ``evaluate_lie`` use, so the exact evaluator runs
-    on symbolic coordinates.  The only constant it meets is zero.
-    """
-
-    def __add__(self, other) -> "_Poly":
-        out = _Poly(self)
-        if isinstance(other, _Poly):
-            for m, c in other.items():
-                out[m] = out.get(m, 0) + c
-        elif other != 0:
-            return NotImplemented
-        return out
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "_Poly":
-        if not isinstance(other, _Poly):
-            return _Poly({m: c * other for m, c in self.items()})
-        out = _Poly()
-        for m1, c1 in self.items():
-            for m2, c2 in other.items():
-                m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, 0) + c1 * c2
-        return out
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other) -> "_Poly":
-        return self + other * -1
-
-    def __rsub__(self, other) -> "_Poly":
-        return self * -1 + other
 
 
 def _numerators(vecs: Sequence[Sequence[Fraction]]) -> tuple[int, list[tuple[int, ...]]]:
@@ -154,13 +119,9 @@ class NilpotentAlgebra:
     def bracket_exact(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> ExactVector:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("coordinate length does not match the algebra")
-        out = [Fraction(0)] * self.dim
-        for (i, j), comp in self.table.items():
-            w = x[i] * y[j] - x[j] * y[i]
-            if w:
-                for k, c in comp.items():
-                    out[k] += c * w
-        return tuple(out)
+        q, (u, v) = _numerators([x, y])
+        D, entries = self.integer_table
+        return tuple(Fraction(c, q * q * D) for c in _bracket_int(entries, u, v, self.dim))
 
     def bch_exact(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> ExactVector:
         """Group product x * y in exponential coordinates, exact."""
@@ -233,15 +194,33 @@ class NilpotentAlgebra:
         """x * y expanded exactly into one polynomial per output coordinate.
 
         The variables are z = (x_0..x_{d-1}, y_0..y_{d-1}); a monomial is the
-        sorted tuple of its variable indices.  Built by running the cached
-        two-letter series through the exact evaluator on symbolic
-        coordinates, so it is the law of ``bch_exact``.
+        sorted tuple of its variable indices.  The two-letter series is
+        multilinear, so a word w of length r adds each nonzero left-nested
+        basis bracket [..[e_i1, e_i2], .., e_ir] (integers over D^(r-1)) to
+        the monomial z[w_1 d + i_1] ... z[w_r d + i_r], in integers over
+        den * lcm(1..s) * D^(s-1) as in ``evaluate_poly_exact``: this is the
+        law of ``bch_exact``.
         """
         d = self.dim
-        xy = [tuple(_Poly({(off + i,): Fraction(1)}) for i in range(d)) for off in (0, d)]
-        law = evaluate_lie(_bch_poly(self.step), xy, bracket=self.bracket_exact,
-                           add=self.add_exact, scale=self.scale_exact, zero=self.zero_vector())
-        return tuple({m: c for m, c in p.items() if c} for p in law)
+        poly = _bch_poly(self.step)
+        D, entries = self.integer_table
+        s = max(map(len, poly.num))
+        lcm_s = math.lcm(*range(1, s + 1))
+        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        nested = [[((i,), units[i]) for i in range(d)]]  # nested[r-1]: the nonzero length-r ones
+        while len(nested) < s:
+            nested.append([(t + (j,), v) for t, u in nested[-1] for j in range(d)
+                           for v in [_bracket_int(entries, u, units[j], d)] if any(v)])
+        acc: list[dict[Monomial, int]] = [{} for _ in range(d)]
+        for w, c in poly.num.items():
+            f = c * (lcm_s // len(w)) * D ** (s - len(w))
+            for t, v in nested[len(w) - 1]:
+                m = tuple(sorted(a * d + i for a, i in zip(w, t)))
+                for k, vk in enumerate(v):
+                    if vk:
+                        acc[k][m] = acc[k].get(m, 0) + f * vk
+        den = poly.den * lcm_s * D ** (s - 1)
+        return tuple({m: Fraction(a, den) for m, a in p.items() if a} for p in acc)
 
     def product_map(self):
         """Vectorized group product for float arrays (..., dim).

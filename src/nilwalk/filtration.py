@@ -22,6 +22,7 @@ g^(i+1).  All spans and ranks are exact rational computations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -31,7 +32,7 @@ import numpy as np
 
 from .algebra import ExactVector, NilpotentAlgebra, weight_ideals
 from .freealg import FreePoly
-from .ratlinalg import Subspace, fracvec, invert_matrix, is_zero_vec, vec_add, vec_mat
+from .ratlinalg import Subspace, fracvec, invert_matrix, is_zero_vec, vec_mat
 
 
 class WeightFiltration:
@@ -150,19 +151,8 @@ class WeightFiltration:
 
     def graded_bracket(self, x: Sequence, y: Sequence) -> ExactVector:
         """Bilinear extension of [x, y]' = proj_(i+j)([x^(i), y^(j)])."""
-        out = self.algebra.zero_vector()
-        xs = [self.project(x, i) for i in range(1, self.max_weight + 1)]
-        ys = [self.project(y, i) for i in range(1, self.max_weight + 1)]
-        for i, xi in enumerate(xs, start=1):
-            if is_zero_vec(xi):
-                continue
-            for j, yj in enumerate(ys, start=1):
-                if is_zero_vec(yj):
-                    continue
-                if i + j > self.max_weight:
-                    continue
-                out = vec_add(out, self.project(self.algebra.bracket_exact(xi, yj), i + j))
-        return tuple(out)
+        return self.from_adapted(self.graded_algebra.bracket_exact(self.to_adapted(x),
+                                                                    self.to_adapted(y)))
 
     @cached_property
     def adapted_algebra(self) -> NilpotentAlgebra:
@@ -185,25 +175,22 @@ class WeightFiltration:
 
     @cached_property
     def graded_algebra(self) -> NilpotentAlgebra:
-        """The graded bracket as a structure-constant algebra on adapted coords.
+        """The graded bracket as a structure-constant algebra on adapted coords:
+        the adapted table, keeping component k of [a_i, a_j] when
+        w_k = w_i + w_j.
 
         Construction revalidates Jacobi exactly, so building this object is
         itself a correctness check of the grading.
         """
-        d = self.algebra.dim
+        w = self.weights
         brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for i in range(d):
-            for j in range(i + 1, d):
-                w = self.weights[i] + self.weights[j]
-                if w > self.max_weight:
-                    continue
-                br = self.algebra.bracket_exact(self.adapted_rows[i], self.adapted_rows[j])
-                comp = self.to_adapted(br)
-                entry = {k: c for k, c in enumerate(comp) if c != 0 and self.weights[k] == w}
-                if entry:
-                    brackets[(i, j)] = entry
-        series_len = _nilpotency_step(d, brackets)
-        return NilpotentAlgebra(d, series_len, brackets, name=self.algebra.name + "-graded")
+        for (i, j), comp in self.adapted_algebra.table.items():
+            entry = {k: c for k, c in comp.items() if w[k] == w[i] + w[j]}
+            if entry:
+                brackets[(i, j)] = entry
+        d = self.algebra.dim
+        return NilpotentAlgebra(d, _nilpotency_step(d, brackets), brackets,
+                                name=self.algebra.name + "-graded")
 
     def graded_product(self, x: Sequence, y: Sequence) -> ExactVector:
         """Group product for the graded bracket (the large-dilation limit law)."""
@@ -221,17 +208,13 @@ class WeightFiltration:
     @cached_property
     def ax_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """Matrix (adapted coords, row-vector convention) of y -> proj_(i+2)[X, y]."""
-        d = self.algebra.dim
-        X = self.drift_in_supplement
+        adapted = self.adapted_algebra
+        X = self.to_adapted(self.drift_in_supplement)
         rows = []
-        for j in range(d):
-            img = self.algebra.bracket_exact(X, self.adapted_rows[j])
+        for j in range(adapted.dim):
+            img = adapted.bracket_exact(X, adapted.basis_vector(j))
             target = self.weights[j] + 2
-            comp = self.to_adapted(img)
-            rows.append(tuple(
-                comp[k] if self.weights[k] == target else Fraction(0)
-                for k in range(d)
-            ))
+            rows.append(tuple(c if w == target else Fraction(0) for c, w in zip(img, self.weights)))
         return tuple(rows)
 
     def apply_ax(self, y: Sequence) -> ExactVector:
@@ -375,34 +358,17 @@ def bigraded_evaluate(poly: FreePoly, filtration: WeightFiltration, degree: int,
 
     Expands each input into weight components and keeps only the terms of
     the degree-``degree`` part whose assigned weights sum to ``wdegree``;
-    scaling all inputs by D_r multiplies the value by r^wdegree.
+    scaling all inputs by D_r multiplies the value by r^wdegree.  Letter
+    a*L + (i-1) of the relabelled element stands for x_a^(i), where L is
+    the largest weight, and one ``evaluate_poly_exact`` call evaluates it.
     """
-    alg = filtration.algebra
+    L = filtration.max_weight
     part = poly.degree_part(degree)
-    layered = [
-        [filtration.project(x, i) for i in range(1, filtration.max_weight + 1)]
-        for x in xs
-    ]
-    total = alg.zero_vector()
-    for w, c in part.terms.items():
-        r = len(w)
-
-        def rec(pos: int, remaining: int, chain):
-            nonlocal total
-            if pos == r:
-                if remaining == 0 and chain is not None:
-                    total = alg.add_exact(total, alg.scale_exact(Fraction(c, r), chain))
-                return
-            max_w = filtration.max_weight
-            for wt in range(1, max_w + 1):
-                if wt > remaining - (r - pos - 1):
-                    break
-                comp = layered[w[pos]][wt - 1]
-                if is_zero_vec(comp):
-                    continue
-                nxt = comp if chain is None else alg.bracket_exact(chain, comp)
-                if pos > 0 and is_zero_vec(nxt):
-                    continue
-                rec(pos + 1, remaining - wt, nxt)
-        rec(0, wdegree, None)
-    return total
+    num: dict[bytes, int] = {}
+    for w, c in part.num.items():
+        for wts in itertools.product(range(1, L + 1), repeat=len(w)):
+            if w and sum(wts) == wdegree:
+                num[bytes(a * L + i - 1 for a, i in zip(w, wts))] = c
+    layered = [filtration.project(x, i) for x in xs for i in range(1, L + 1)]
+    relabelled = FreePoly.from_numerators(len(xs) * L, part.max_len, num, part.den)
+    return filtration.algebra.evaluate_poly_exact(relabelled, layered)

@@ -418,7 +418,9 @@ def evaluate_lie(poly: FreePoly, xs, bracket: Callable, add: Callable, scale: Ca
     ``poly`` lies in the image of the bracketing map (true for group
     products and everything derived from them by projections and
     permutations); the Dynkin idempotent then gives the word-by-word rule
-    used here.
+    used here.  Nothing in the package calls it: the exact evaluator is
+    ``NilpotentAlgebra.evaluate_poly_exact``, and this generic form is the
+    tests' Fraction reference for it.
     """
     acc = zero
     den = poly.den

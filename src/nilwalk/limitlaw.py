@@ -31,6 +31,9 @@ from .measures import AtomicMeasure, Measure, ProductMeasure
 # turn, so this size fixes the bank that a seed gives.
 LIMIT_CHUNK = 500_000
 
+# Fewest samples a kernel density estimate accepts.
+KDE_MIN_SAMPLES = 10_000
+
 
 def measure_moments_adapted(measure: Measure, wf: WeightFiltration,
                             mc_samples: int = 400_000, seed: int = 314) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +175,7 @@ def kde_density(samples: np.ndarray, point: Sequence[float],
     """
     samples = np.asarray(samples, dtype=float)
     n, d = samples.shape
-    if n < 10_000:
+    if n < KDE_MIN_SAMPLES:
         raise ValueError("kernel density estimate needs at least 1e4 samples")
     h = scott_bandwidth(samples, bandwidth_factor) if bandwidth is None else np.asarray(bandwidth)
     z = (samples - np.asarray(point, dtype=float)) / h

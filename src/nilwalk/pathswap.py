@@ -225,13 +225,12 @@ def verify_low_degree_annihilation(system: BlockSystem, sigma: FElement, tau: FE
 def verify_block_decoupling(system: BlockSystem, sigma: FElement, tau: FElement,
                             max_len: int, budget: int = DEFAULT_TERM_BUDGET) -> bool:
     """Fact 2: A of the support-size-a piece splits over large blocks,
-    and only index sets meeting each small block at most once matter."""
+    and only index sets meeting each small block at most once matter.
+    A is linear, so both are checked as A(piece - per_block) = 0 and
+    A(per_block - spread) = 0."""
     n = system.n_indices
-    a = system.a
     op = swap_operator(system, sigma, tau)
-    piece = product_support_size_part(n, a, max_len, budget)
-    lhs = apply_operator(op, piece)
-
+    piece = product_support_size_part(n, system.a, max_len, budget)
     per_block = FreePoly.zero(n, max_len)
     spread = FreePoly.zero(n, max_len)
     for j in range(system.n_prime):
@@ -239,9 +238,8 @@ def verify_block_decoupling(system: BlockSystem, sigma: FElement, tau: FElement,
         per_block = per_block + block
         k = system.k
         spread = spread + block.where(lambda w: len({p // k for p in set(w)}) == len(set(w)))
-    if lhs != apply_operator(op, per_block):
-        return False
-    return lhs == apply_operator(op, spread)
+    return (apply_operator(op, piece - per_block).is_zero()
+            and apply_operator(op, per_block - spread).is_zero())
 
 
 def verify_block_vanishing(system: BlockSystem, sigma: FElement, tau: FElement, j: int,

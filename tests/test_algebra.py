@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -159,7 +160,7 @@ def test_validation_rejects_bad_tables():
 def _first_jacobi_failure(alg):
     """Lexicographically first basis triple i < j < k where nested brackets break Jacobi."""
     e = [alg.basis_vector(i) for i in range(alg.dim)]
-    br = alg.bracket_exact
+    br = functools.partial(table_bracket, alg)
     for i, j, k in itertools.combinations(range(alg.dim), 3):
         terms = (br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i]), br(br(e[k], e[i]), e[j]))
         if any(sum(t[l] for t in terms) for l in range(alg.dim)):
@@ -233,6 +234,32 @@ GUARD_ALGEBRAS = {
 }
 
 
+def fractional_algebra():
+    """Constants 2/3, 5/7 and -1/2, so the integer table has D = 42; class 4."""
+    return NilpotentAlgebra(6, 4, {(0, 1): {2: F(2, 3)}, (0, 2): {3: F(5, 7)},
+                                   (1, 2): {4: F(-1, 2)}, (0, 3): {5: 1}}, name="fractional")
+
+
+EVALUATOR_ALGEBRAS = dict(GUARD_ALGEBRAS, fractional=fractional_algebra)
+
+
+def table_bracket(alg, x, y):
+    """[x, y] by a loop over ``alg.table`` in Fractions, independent of ``integer_table``."""
+    out = [F(0)] * alg.dim
+    for (i, j), comp in alg.table.items():
+        w = F(x[i]) * F(y[j]) - F(x[j]) * F(y[i])
+        for k, c in comp.items():
+            out[k] += c * w
+    return tuple(out)
+
+
+def reference_evaluate(alg, poly, xs):
+    """The Dynkin rule on Fraction vectors, through nested ``table_bracket``."""
+    return evaluate_lie(poly, [tuple(F(c) for c in x) for x in xs],
+                        functools.partial(table_bracket, alg),
+                        alg.add_exact, alg.scale_exact, alg.zero_vector())
+
+
 def _law_value(law, x, y):
     """Evaluate the per-coordinate polynomials of group_law exactly."""
     z = tuple(x) + tuple(y)
@@ -247,14 +274,17 @@ def _law_value(law, x, y):
     return tuple(out)
 
 
-@pytest.mark.parametrize("name", sorted(GUARD_ALGEBRAS))
+@pytest.mark.parametrize("name", sorted(EVALUATOR_ALGEBRAS))
 def test_group_law_polynomials_equal_bch_exact(name):
-    alg = GUARD_ALGEBRAS[name]()
+    alg = EVALUATOR_ALGEBRAS[name]()
+    bch = dynkin_product(2, alg.step)
     rng = random.Random(name)
     for _ in range(6):
         x, y = (tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(alg.dim))
                 for _ in range(2))
-        assert _law_value(alg.group_law, x, y) == alg.bch_exact(x, y)
+        law = _law_value(alg.group_law, x, y)
+        assert law == alg.bch_exact(x, y)
+        assert law == reference_evaluate(alg, bch, [x, y])
 
 
 @pytest.mark.parametrize("name", sorted(GUARD_ALGEBRAS))
@@ -286,25 +316,21 @@ def test_product_map_is_cached_and_blocks_rows_exactly():
 # -- the integer Lie evaluator --------------------------------------------------------
 
 
-def fractional_algebra():
-    """Constants 2/3, 5/7 and -1/2, so the integer table has D = 42; class 4."""
-    return NilpotentAlgebra(6, 4, {(0, 1): {2: F(2, 3)}, (0, 2): {3: F(5, 7)},
-                                   (1, 2): {4: F(-1, 2)}, (0, 3): {5: 1}}, name="fractional")
-
-
-EVALUATOR_ALGEBRAS = dict(GUARD_ALGEBRAS, fractional=fractional_algebra)
-
-
-def reference_evaluate(alg, poly, xs):
-    """The Dynkin rule on Fraction vectors, through nested bracket_exact."""
-    return evaluate_lie(poly, [tuple(F(c) for c in x) for x in xs], alg.bracket_exact,
-                        alg.add_exact, alg.scale_exact, alg.zero_vector())
-
-
 def _mixed_vector(rng, dim):
     """Entries with unrelated denominators, plain ints and zeros."""
     return tuple(rng.choice((F(rng.randint(-9, 9), rng.randint(1, 12)), rng.randint(-3, 3), 0))
                  for _ in range(dim))
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATOR_ALGEBRAS))
+def test_bracket_exact_matches_table_loop(name):
+    alg = EVALUATOR_ALGEBRAS[name]()
+    rng = random.Random("bracket-" + name)
+    for _ in range(20):
+        x, y = _mixed_vector(rng, alg.dim), _mixed_vector(rng, alg.dim)
+        got = alg.bracket_exact(x, y)
+        assert got == table_bracket(alg, x, y)
+        assert all(type(c) is F for c in got)
 
 
 def test_fractional_table_has_denominator_42():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from nilwalk import pathswap
 from nilwalk.algebra import free_nilpotent, heisenberg3
 from nilwalk.freealg import FreePoly
 from nilwalk.pathswap import (
@@ -69,6 +70,28 @@ def test_annihilation_and_decoupling_exhaustive(a, k, nprime):
         for tau in elems:
             assert verify_low_degree_annihilation(bs, sigma, tau, 4)
             assert verify_block_decoupling(bs, sigma, tau, 4)
+
+
+@pytest.mark.parametrize("a,k,nprime", [(2, 1, 2), (2, 2, 1)])
+def test_decoupling_fails_for_a_wrong_operator(a, k, nprime, monkeypatch):
+    """Fact 2 can fail.  With the sign of the tau_1 terms flipped (the second
+    half of the expansion) the operator is no longer a signed difference.
+    (2,1,2) has one index per small block, so only the first clause, the
+    split over large blocks, can catch it; (2,2,1) has one large block, so
+    only the second clause, index sets meeting a small block twice, can."""
+    bs = BlockSystem(a, k, nprime)
+    pairs = [(s, t) for s in all_elements(bs) for t in all_elements(bs)]
+    assert all(verify_block_decoupling(bs, s, t, 4) for s, t in pairs)
+
+    true_operator = pathswap.swap_operator
+
+    def flipped(system, sigma, tau):
+        op = true_operator(system, sigma, tau)
+        half = len(op) // 2
+        return op[:half] + [(-sgn, perm) for sgn, perm in op[half:]]
+
+    monkeypatch.setattr(pathswap, "swap_operator", flipped)
+    assert not any(verify_block_decoupling(bs, s, t, 4) for s, t in pairs)
 
 
 @pytest.mark.parametrize("a,k,nprime", [(2, 2, 2), (3, 1, 2), (3, 2, 1)])
