@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,8 +77,8 @@ def _bracket_int(entries, u: Sequence[int], v: Sequence[int], dim: int) -> list[
 class NilpotentAlgebra:
     """Immutable structure-constant algebra; safe to share across workers."""
 
-    def __init__(self, dim: int, step: int, brackets: dict, labels: Optional[Sequence[str]] = None,
-                 name: str = "", validate: bool = True):
+    def __init__(self, dim: int, step: int, brackets: dict, name: str = "",
+                 validate: bool = True):
         """brackets maps (i, j) with 0 <= i < j < dim to {k: coefficient}."""
         self.dim = int(dim)
         self.step = int(step)
@@ -94,7 +94,6 @@ class NilpotentAlgebra:
             if entry:
                 table[(i, j)] = entry
         self.table = table
-        self.labels = tuple(labels) if labels else tuple(f"e{i+1}" for i in range(self.dim))
         self.name = name
         if validate:
             self.validate()

@@ -4,7 +4,7 @@ Subcommands mirror the library surface:
 
     nilwalk algebra check --builtin heisenberg3
     nilwalk filtration compute --algebra heisenberg3 --drift 1,0,0
-    nilwalk pathswap verify --a 2 --k 1 --nprime 1 --step 3 [--emit-poly F]
+    nilwalk pathswap verify --a 2 --k 2 --nprime 1 --step 3 [--emit-poly F]
     nilwalk walk {llt,clt,ratio,pixel,theta} --config FILE [--seed S] [--out F]
     nilwalk fourier scan --config FILE --gamma0 G [--xi-grid lo:hi:n]
     nilwalk limit {density,heisenberg-origin} ...

@@ -12,7 +12,8 @@ A config file is a JSON object with the fields
               or {"kind": "gaussian_layers", "cov": [...]}         (diagonal)
               or {"kind": "product", "factors": [{"kind": ...}, ...]}
               or {"kind": "affine", "base": {...}, "matrix": [...], "shift": [...]};
-    experiment, seed, M, N or N_grid, and per-experiment parameters.
+    seed, M, N or N_grid, and per-experiment parameters.  Other keys (an
+    "experiment" name, say) are not read, but they enter the digest.
 
 The digest is a SHA-256 over the canonical (sorted-keys) JSON encoding, so
 key order in the file never changes identity.  CSV output starts with a
@@ -136,7 +137,6 @@ class ExperimentConfig:
     algebra: NilpotentAlgebra
     filtration: WeightFiltration
     measure: Measure
-    experiment: str
     seed: int
     n_replicas: int
     n_grid: list[int]
@@ -172,8 +172,7 @@ class ExperimentConfig:
         if m < 1:
             raise ValueError("M must be positive")
         return cls(
-            raw=raw, algebra=algebra, filtration=filtration, measure=measure,
-            experiment=str(raw.get("experiment", "")), seed=seed,
+            raw=raw, algebra=algebra, filtration=filtration, measure=measure, seed=seed,
             n_replicas=m, n_grid=grid, params=dict(raw.get("params", {})),
         )
 

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .filtration import WeightFiltration
-from .measures import AtomicMeasure, Measure, ProductMeasure
+from .measures import Measure
 
 # Limit-law samples folded per pass.  The chunks draw from one generator in
 # turn, so this size fixes the bank that a seed gives.
@@ -35,24 +35,11 @@ LIMIT_CHUNK = 500_000
 KDE_MIN_SAMPLES = 10_000
 
 
-def measure_moments_adapted(measure: Measure, wf: WeightFiltration,
-                            mc_samples: int = 400_000, seed: int = 314) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, covariance) in adapted coordinates; closed form when possible."""
+def measure_moments_adapted(measure: Measure, wf: WeightFiltration) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, covariance) in adapted coordinates, from the measure's closed form."""
     ainv = wf.adapted_inv_array
-    if isinstance(measure, ProductMeasure):
-        mean = measure.mean_float()
-        cov = np.diag(measure.cov_diag())
-        return mean @ ainv, ainv.T @ cov @ ainv
-    if isinstance(measure, AtomicMeasure):
-        pts = measure.pts
-        w = np.array([float(x) for x in measure.weights])
-        mean = w @ pts
-        centered = pts - mean
-        cov = (centered.T * w) @ centered
-        return mean @ ainv, ainv.T @ cov @ ainv
-    rng = np.random.default_rng(seed)
-    xs = wf.to_adapted_float(measure.sample(rng, mc_samples))
-    return xs.mean(axis=0), np.cov(xs.T, ddof=1).reshape(xs.shape[1], xs.shape[1])
+    mean, cov = measure.moments()
+    return mean @ ainv, ainv.T @ cov @ ainv
 
 
 @dataclass
@@ -75,18 +62,14 @@ class DiffusionSpec:
 
     @classmethod
     def from_measure(cls, filtration: WeightFiltration, measure: Measure,
-                     n_time_steps: int = 2048, mc_samples: int = 400_000,
-                     seed: int = 314) -> "DiffusionSpec":
-        """Extract the covariance square root and second-layer mean.
-
-        Closed-form moments are used for product and atomic laws; anything
-        else falls back to a dedicated deterministic Monte Carlo stream.
-        """
+                     n_time_steps: int = 2048) -> "DiffusionSpec":
+        """Extract the covariance square root and second-layer mean from the
+        measure's closed-form moments."""
         wf = filtration
         d = wf.algebra.dim
         idx1 = wf.layer_indices(1)
 
-        mean_ad, cov_ad = measure_moments_adapted(measure, wf, mc_samples, seed)
+        mean_ad, cov_ad = measure_moments_adapted(measure, wf)
         cov = cov_ad[np.ix_(idx1, idx1)]
         evals, evecs = np.linalg.eigh(cov)
         if (evals <= 1e-14).any():

@@ -161,6 +161,10 @@ class Measure:
     def mean_float(self) -> np.ndarray:
         raise NotImplementedError
 
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mean, covariance) in original coordinates, in closed form."""
+        raise NotImplementedError
+
     def char_original(self, freqs: np.ndarray) -> np.ndarray:
         """E exp(-2 i pi <freq, x>) for rows of freqs in original coordinates."""
         raise NotImplementedError
@@ -210,6 +214,12 @@ class AtomicMeasure(Measure):
     def mean_float(self):
         return np.array([float(c) for c in self.mean_exact()])
 
+    def moments(self):
+        w = np.array([float(x) for x in self.weights])
+        mean = w @ self.pts
+        centered = self.pts - mean
+        return mean, (centered.T * w) @ centered
+
     def char_original(self, freqs):
         freqs = np.atleast_2d(np.asarray(freqs, dtype=float))
         phases = np.exp(-2j * np.pi * (freqs @ self.pts.T))
@@ -234,8 +244,8 @@ class ProductMeasure(Measure):
     def mean_float(self):
         return np.array([f.moments()[0] for f in self.factors])
 
-    def cov_diag(self):
-        return np.array([f.moments()[1] for f in self.factors])
+    def moments(self):
+        return self.mean_float(), np.diag([f.moments()[1] for f in self.factors])
 
     def char_original(self, freqs):
         freqs = np.atleast_2d(np.asarray(freqs, dtype=float))
@@ -263,6 +273,10 @@ class AffineImage(Measure):
 
     def mean_float(self):
         return self.base.mean_float() @ self.matrix + self.shift
+
+    def moments(self):
+        mean, cov = self.base.moments()
+        return mean @ self.matrix + self.shift, self.matrix.T @ cov @ self.matrix
 
     def char_original(self, freqs):
         freqs = np.atleast_2d(np.asarray(freqs, dtype=float))

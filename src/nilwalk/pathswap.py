@@ -227,7 +227,9 @@ def verify_block_decoupling(system: BlockSystem, sigma: FElement, tau: FElement,
     """Fact 2: A of the support-size-a piece splits over large blocks,
     and only index sets meeting each small block at most once matter.
     A is linear, so both are checked as A(piece - per_block) = 0 and
-    A(per_block - spread) = 0."""
+    A(per_block - spread) = 0.  The first difference is structurally zero
+    when n' = 1 (one large block) and the second when k = 1 (one index per
+    small block), so at k = 1, n' = 1 the fact holds for any operator."""
     n = system.n_indices
     op = swap_operator(system, sigma, tau)
     piece = product_support_size_part(n, system.a, max_len, budget)

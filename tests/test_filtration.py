@@ -65,11 +65,22 @@ BUILTINS = ["heisenberg3", "filiform4", "abelian(3)", "free-nilpotent(2,2)",
             "free-nilpotent(3,3)"]
 
 
+def table_bracket(algebra, x, y):
+    """[x, y] by a loop over ``algebra.table`` in Fractions, independent of
+    ``integer_table``, on which ``weight_ideals`` and ``bracket_exact`` run."""
+    out = [F(0)] * algebra.dim
+    for (i, j), comp in algebra.table.items():
+        w = F(x[i]) * F(y[j]) - F(x[j]) * F(y[i])
+        for k, c in comp.items():
+            out[k] += c * w
+    return tuple(out)
+
+
 def central_series_reference(algebra):
     """g^[i+1] = [g, g^[i]] until zero, for a nilpotent algebra."""
     series = [Subspace.full(algebra.dim)]
     while series[-1].dim > 0:
-        series.append(Subspace(algebra.dim, [algebra.bracket_exact(algebra.basis_vector(i), v)
+        series.append(Subspace(algebra.dim, [table_bracket(algebra, algebra.basis_vector(i), v)
                                              for i in range(algebra.dim)
                                              for v in series[-1].basis]))
     return series
@@ -80,9 +91,9 @@ def weight_ideals_reference(algebra, x):
     full = Subspace.full(algebra.dim)
     chain = [full, full]
     while chain[-1].dim > 0:
-        gens = [algebra.bracket_exact(algebra.basis_vector(i), v)
+        gens = [table_bracket(algebra, algebra.basis_vector(i), v)
                 for i in range(algebra.dim) for v in chain[-1].basis]
-        gens += [algebra.bracket_exact(x, v) for v in chain[-2].basis]
+        gens += [table_bracket(algebra, x, v) for v in chain[-2].basis]
         chain.append(Subspace(algebra.dim, gens))
     return chain[1:]
 
@@ -92,7 +103,7 @@ def rebased(algebra, rows):
     brackets = {}
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
-            coeffs = solve_in_basis(rows, algebra.bracket_exact(rows[i], rows[j]))
+            coeffs = solve_in_basis(rows, table_bracket(algebra, rows[i], rows[j]))
             brackets[(i, j)] = {k: c for k, c in enumerate(coeffs) if c}
     return NilpotentAlgebra(algebra.dim, algebra.step, brackets)
 

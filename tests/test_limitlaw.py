@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp, shapiro
 
-from nilwalk.algebra import abelian, heisenberg3
+from nilwalk.algebra import abelian, free_nilpotent, heisenberg3
 from nilwalk.filtration import WeightFiltration
 from nilwalk.limitlaw import (
     DiffusionSpec,
@@ -14,7 +15,16 @@ from nilwalk.limitlaw import (
     measure_moments_adapted,
     simulate_limit,
 )
-from nilwalk.measures import Dirac1D, Gaussian1D, ProductMeasure
+from nilwalk.measures import (
+    AffineImage,
+    AtomicMeasure,
+    Atoms1D,
+    Dirac1D,
+    Gaussian1D,
+    ProductMeasure,
+    TwoPoint1D,
+    Uniform1D,
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +54,50 @@ def test_moment_extraction_closed_form(heis_centered, heis_gauss):
     mean, cov = measure_moments_adapted(heis_gauss, heis_centered)
     assert np.allclose(mean, 0.0)
     assert np.allclose(cov[:2, :2], np.eye(2))
+
+
+ATOM_POINTS = [(1, 0, 0, 0, 0), (0, 2, 1, 0, "1/3"), (-1, 1, 3, "2/5", 0), (0, 0, 0, 1, 1)]
+ATOM_WEIGHTS = ["1/2", "1/4", "1/8", "1/8"]
+FACTORS = [Gaussian1D(0.5, 2.0), Uniform1D(-1.0, 3.0), TwoPoint1D(1.0, -2.0, 0.3), Dirac1D(0.25),
+           Atoms1D((0.0, 1.0, 4.0), (0.5, 0.25, 0.25))]
+FACTOR_MEANS = [0.5, 1.0, -1.1, 0.25, 1.25]
+FACTOR_VARS = [4.0, 16 / 12, 1.89, 0.0, 2.6875]
+
+
+def exact_atomic_moments(points, weights):
+    """Mean and covariance of an atomic law in Fractions, then as floats."""
+    pts = [[F(c) for c in p] for p in points]
+    ws = [F(w) for w in weights]
+    d = len(pts[0])
+    mean = [sum(w * p[a] for p, w in zip(pts, ws)) for a in range(d)]
+    cov = [[sum(w * (p[a] - mean[a]) * (p[b] - mean[b]) for p, w in zip(pts, ws))
+            for b in range(d)] for a in range(d)]
+    return np.array(mean, dtype=float), np.array(cov, dtype=float)
+
+
+@pytest.mark.parametrize("case", ["affine-of-atoms", "affine-of-product", "affine-of-affine"])
+def test_affine_moments_are_the_transformed_base_moments(case):
+    alg = free_nilpotent(2, 3)
+    wf = WeightFiltration(alg, alg.basis_vector(0))  # its adapted basis is not the identity
+    rng = np.random.default_rng(5)
+    a, s, b, t = rng.normal(size=(5, 5)), rng.normal(size=5), rng.normal(size=(5, 5)), rng.normal(size=5)
+    if case == "affine-of-atoms":
+        base = AtomicMeasure(alg, ATOM_POINTS, ATOM_WEIGHTS)
+        m, c = exact_atomic_moments(ATOM_POINTS, ATOM_WEIGHTS)
+    else:
+        base = ProductMeasure(alg, FACTORS)
+        m, c = np.array(FACTOR_MEANS), np.diag(FACTOR_VARS)
+    mu, mean, cov = AffineImage(base, a, s), m @ a + s, a.T @ c @ a
+    if case == "affine-of-affine":
+        mu, mean, cov = AffineImage(mu, b, t), m @ a @ b + s @ b + t, (a @ b).T @ c @ (a @ b)
+    got_mean, got_cov = mu.moments()
+    np.testing.assert_allclose(got_mean, mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got_cov, cov, rtol=1e-12, atol=1e-12)
+    ainv = wf.adapted_inv_array
+    assert not np.array_equal(ainv, np.eye(5))
+    ad_mean, ad_cov = measure_moments_adapted(mu, wf)
+    np.testing.assert_allclose(ad_mean, mean @ ainv, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(ad_cov, ainv.T @ cov @ ainv, rtol=1e-12, atol=1e-12)
 
 
 def test_abelian_diffusion_is_standard_gaussian(plane):
