@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Paired timings of two source trees, one fresh process per case and tree.
 
-    python scripts/bench.py {kernel,exact,nilmanifold} [--parent SRC]
+    python scripts/bench.py {kernel,exact,nilmanifold,walk} [--parent SRC]
 
 kernel times product_map per builtin algebra (ns per replica-step, and the
 build time), exact each exact identity family and acceptance criterion 1,
-and nilmanifold the Cesaro walk on H(R)/H(Z) at three (replicas, steps)
-shapes (seconds per call, and peak RSS).  Every case runs in a fresh
+nilmanifold the Cesaro walk on H(R)/H(Z) at three (replicas, steps)
+shapes (seconds per call, and peak RSS), and walk one `nilwalk walk`
+command per case (wall and CPU seconds, and peak RSS): llt and ratio at
+the sizes of the benchmark's heis-llt workload on two workers, clt at
+those of deep-clt on one.  Every case runs in a fresh
 process on each tree, in PAIRS pairs that alternate which tree runs first.
 The change is the checkout holding this script; --parent names the src
 directory to compare it with (default: this checkout, which measures the
@@ -14,8 +17,8 @@ spread of identical code).  BENCH_<suite>.json in the working directory
 gets, per case and metric, each tree's value in every pair with their
 median and quartiles, the pairs each tree won (lower is better; a tie
 counts for neither), the parent/change ratio of the medians, and whether
-both trees gave the same output (the product's bytes, a verdict, or the
-Cesaro report's digest).
+both trees gave the same output (the product's bytes, a verdict, the
+Cesaro report's digest, or the exit code and CSV body digest of a walk).
 """
 
 from __future__ import annotations
@@ -46,6 +49,26 @@ EXACT_FAMILIES = ["bch-assoc", "periodization", "swap-fact1", "swap-fact2", "swa
 EXACT_REPEATS = 3
 CESARO_SHAPES = [(100, 8000), (10, 20_000), (1000, 2000)]
 CESARO_CELLS, CESARO_SEED, CESARO_REPEATS = 8, 3, 5
+
+
+def heis_walk(m, box):
+    return {"algebra": "heisenberg3", "drift": [0, 0, 0],
+            "measure": {"kind": "gaussian_layers", "cov": [1.0, 1.0, 0.0]},
+            "seed": 921, "M": m, "N_grid": [16, 32],
+            "params": {"recenter": "none", "box": [box] * 3, "diffusion_steps": 64,
+                       "nu_samples": 100_000}}
+
+
+# case -> (--workers, walk mode, config)
+WALK_CASES = {
+    "llt": (2, "llt", heis_walk(500_000, [-2.0, 2.0])),
+    "ratio": (2, "ratio", heis_walk(250_000, [-3.0, 3.0])),
+    "clt": (1, "clt", {"algebra": "free-nilpotent(2,3)", "drift": [1, 0, 0, 0, 0],
+                       "measure": {"kind": "product", "factors": [
+                           {"kind": "uniform", "lo": 0.5, "hi": 1.5}]
+                           + [{"kind": "uniform", "lo": -1.0, "hi": 1.0}] * 4},
+                       "seed": 922, "M": 24_000, "N": 64, "params": {"recenter": "none"}}),
+}
 
 
 def timed(call, repeats):
@@ -190,12 +213,34 @@ def cesaro_case(replicas, steps):
             hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
 
 
+def walk_case(name):
+    import resource
+    import tempfile
+
+    from nilwalk.cli import main
+
+    workers, mode, config = WALK_CASES[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out.csv"
+        cfg.write_text(json.dumps(config))
+        c0, t0 = time.process_time(), time.perf_counter()
+        rc = main(["--workers", str(workers), "walk", mode, "--config", str(cfg),
+                   "--out", str(out)])
+        wall_s, cpu_s = time.perf_counter() - t0, time.process_time() - c0
+        body = "".join(line for line in out.read_text().splitlines(True)
+                       if not line.startswith("#"))
+    return ({"wall_s": wall_s, "cpu_s": cpu_s,
+             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024},
+            f"{rc}:{hashlib.sha256(body.encode()).hexdigest()}")
+
+
 # each case returns ({metric: value}, output) in a worker process
 SUITES = {
     "kernel": {name: functools.partial(kernel_case, name) for name in KERNEL_ALGEBRAS},
     "exact": {**{name: functools.partial(exact_case, name) for name in EXACT_FAMILIES},
               "acceptance-1": acceptance_1_case},
     "nilmanifold": {f"{r}x{s}": functools.partial(cesaro_case, r, s) for r, s in CESARO_SHAPES},
+    "walk": {name: functools.partial(walk_case, name) for name in WALK_CASES},
 }
 
 

@@ -51,9 +51,11 @@ from .walks import (
     ExperimentResult,
     WalkConfig,
     clt_experiment,
+    job_pool,
     llt_box_experiment,
     pixel_experiment,
     ratio_experiment,
+    run_plans,
     theta_experiment,
 )
 
@@ -177,17 +179,17 @@ def _box(params: dict, dim: int, half: float) -> list[tuple]:
     return [tuple(b) for b in params.get("box", [[-half, half]] * dim)]
 
 
-# mode -> (keeps the configured recentering, needs the limit-law bank, runner);
-# a runner maps (walk config, params, bank, digest) to an ExperimentResult
+# mode -> (keeps the configured recentering, needs the limit-law bank, plan);
+# a plan maps (walk config, params, bank, digest) to the experiment's walks.Plan
 WALK_MODES = {
-    "llt": (True, False, lambda w, p, nu, d: llt_box_experiment(
+    "llt": (True, False, lambda w, p, nu, d: llt_box_experiment.plan(
         w, _box(p, w.algebra.dim, 0.5), config_digest=d)),
-    "clt": (True, False, lambda w, p, nu, d: clt_experiment(
+    "clt": (True, False, lambda w, p, nu, d: clt_experiment.plan(
         w, histogram_bins=int(p.get("histogram_bins", 0)), config_digest=d)),
-    "ratio": (False, True, lambda w, p, nu, d: ratio_experiment(
+    "ratio": (False, True, lambda w, p, nu, d: ratio_experiment.plan(
         w, _box(p, w.algebra.dim, 2.0), nu, g=p.get("g"), h=p.get("h"), config_digest=d)),
-    "pixel": (False, True, lambda w, p, nu, d: pixel_experiment(w, nu, config_digest=d)),
-    "theta": (False, False, lambda w, p, nu, d: theta_experiment(
+    "pixel": (False, True, lambda w, p, nu, d: pixel_experiment.plan(w, nu, config_digest=d)),
+    "theta": (False, False, lambda w, p, nu, d: theta_experiment.plan(
         w, float(p.get("gamma0", 0.2)), config_digest=d)),
 }
 
@@ -195,23 +197,24 @@ WALK_MODES = {
 def cmd_walk(args) -> int:
     cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed)
     params = cfg.params
-    recentered, needs_bank, run = WALK_MODES[args.mode]
-    nu = None
-    if needs_bank:
-        # the limit-law bank does not depend on N: one bank serves the whole grid
-        spec = DiffusionSpec.from_measure(cfg.filtration, cfg.measure,
-                                          n_time_steps=int(params.get("diffusion_steps", 512)))
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
-        nu = simulate_limit(spec, rng, int(params.get("nu_samples", cfg.n_replicas)))
-    results = []
+    recentered, needs_bank, plan = WALK_MODES[args.mode]
+    wcfgs = []
     for n in cfg.n_grid:
         # built as configured in every mode, so a bad recenter / Y fails everywhere
         wcfg = WalkConfig(cfg.filtration, cfg.measure, n, cfg.n_replicas, seed=cfg.seed,
                           recenter=params.get("recenter", "mean"),
                           variable_shift=params.get("Y"), workers=args.workers)
-        if not recentered:
-            wcfg = dataclasses.replace(wcfg, recenter="none")
-        results.append(run(wcfg, params, nu, cfg.digest))
+        wcfgs.append(wcfg if recentered else dataclasses.replace(wcfg, recenter="none"))
+    with job_pool(args.workers) as pool:
+        nu = None
+        if needs_bank:
+            # the limit-law bank does not depend on N: one bank, the first job, serves the grid
+            spec = DiffusionSpec.from_measure(cfg.filtration, cfg.measure,
+                                              n_time_steps=int(params.get("diffusion_steps", 512)))
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
+            nu = pool.submit(simulate_limit, spec, rng,
+                             int(params.get("nu_samples", cfg.n_replicas)))
+        results = run_plans([plan(w, params, nu, cfg.digest) for w in wcfgs], pool)
     rows = [res.csv_row() for res in results]
     if args.out:
         write_csv(args.out, rows)
@@ -304,11 +307,19 @@ def cmd_nilmanifold_equid(args) -> int:
     return EXIT_OK if final < float(cfg.params.get("discrepancy_bound", 0.1)) else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="nilwalk",
                                 description="nilpotent-group walk experiments")
-    p.add_argument("--workers", type=int, default=1, help="worker threads per experiment")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="threads of the one job pool a command runs its folds on")
     p.add_argument("--budget", type=int, default=freealg.DEFAULT_TERM_BUDGET,
                    help="term budget for symbolic computations")
     sub = p.add_subparsers(dest="command", required=True)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .filtration import WeightFiltration
 from .measures import Measure
-from .walks import WalkConfig, product_stream
+from .walks import Plan, WalkConfig, experiment, job_pool, run_plans, totals
 
 
 # -- frequency bookkeeping -------------------------------------------------------
@@ -58,21 +58,21 @@ class FrequencyPoint:
         return True
 
 
-def empirical_char_many(cfg: WalkConfig, xis: Sequence[FrequencyPoint]) -> dict:
+@experiment
+def empirical_char_many(cfg: WalkConfig, xis: Sequence[FrequencyPoint]) -> Plan:
     """Empirical transform of the product law at several frequencies at once.
 
     Returns complex estimates (one per frequency) plus the generic noise
     scale 1/sqrt(M); estimates at frequency 0 are exactly 1.
     """
     mat = np.array([x.xi for x in xis])  # (n_xi, d)
-    total = np.zeros(mat.shape[0], dtype=complex)
-    count = 0
-    for chunk in product_stream(cfg):
-        phases = np.exp(-2j * np.pi * (chunk @ mat.T))
-        total += phases.sum(axis=0)
-        count += chunk.shape[0]
-    est = total / count
-    return {"estimates": est, "stderr": 1.0 / math.sqrt(count), "M": count}
+
+    def finish(parts: list[tuple[np.ndarray, int]]) -> dict:
+        total, count = totals(parts)
+        return {"estimates": total / count, "stderr": 1.0 / math.sqrt(count), "M": count}
+
+    return Plan(cfg, lambda s, _: (np.exp(-2j * np.pi * (s @ mat.T)).sum(axis=0), s.shape[0]),
+                finish)
 
 
 def empirical_char(cfg: WalkConfig, xi: FrequencyPoint) -> tuple[complex, float]:
@@ -109,11 +109,12 @@ def reduced_domain_scan(filtration: WeightFiltration, measure: Measure,
     ones, when limit samples are supplied, the modulus is compared against
     the limit law's transform at the dilated frequency.
     """
+    cfgs = [WalkConfig(filtration, measure, n_steps=int(n), n_replicas=n_replicas, seed=seed,
+                       workers=workers) for n in n_grid]
+    with job_pool(workers) as pool:
+        reps = run_plans([empirical_char_many.plan(cfg, xis) for cfg in cfgs], pool)
     rows = []
-    for n in n_grid:
-        cfg = WalkConfig(filtration, measure, n_steps=int(n), n_replicas=n_replicas,
-                         seed=seed, workers=workers)
-        rep = empirical_char_many(cfg, xis)
+    for n, rep in zip(n_grid, reps):
         dil = np.power(float(n), filtration.weights_array / 2.0)
         for j, xi in enumerate(xis):
             row = {

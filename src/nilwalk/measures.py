@@ -38,13 +38,24 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # -- scalar factor laws ------------------------------------------------------
 
 
+def _into(out: Optional[np.ndarray], values: np.ndarray) -> np.ndarray:
+    """``values``, copied into ``out`` when one is given."""
+    if out is None:
+        return values
+    out[...] = values
+    return out
+
+
 @dataclass(frozen=True)
 class Gaussian1D:
     mean: float = 0.0
     std: float = 1.0
 
-    def sample(self, rng, size):
-        return self.mean + self.std * rng.standard_normal(size)
+    def sample(self, rng, size, out=None):
+        z = rng.standard_normal(size, out=out)  # z * std + mean is mean + std * z, bit for bit
+        z *= self.std
+        z += self.mean
+        return z
 
     def char(self, xi):
         # E exp(-2 i pi xi x)
@@ -61,8 +72,11 @@ class Uniform1D:
     lo: float
     hi: float
 
-    def sample(self, rng, size):
-        return rng.uniform(self.lo, self.hi, size)
+    def sample(self, rng, size, out=None):
+        u = rng.random(size, out=out)  # what rng.uniform(lo, hi, size) computes, bit for bit
+        u *= self.hi - self.lo
+        u += self.lo
+        return u
 
     def char(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -80,8 +94,8 @@ class TwoPoint1D:
     b: float
     p: float = 0.5
 
-    def sample(self, rng, size):
-        return np.where(rng.random(size) < self.p, self.a, self.b)
+    def sample(self, rng, size, out=None):
+        return _into(out, np.where(rng.random(size) < self.p, self.a, self.b))
 
     def char(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -99,8 +113,8 @@ class TwoPoint1D:
 class Dirac1D:
     value: float = 0.0
 
-    def sample(self, rng, size):
-        return np.full(size, self.value)
+    def sample(self, rng, size, out=None):
+        return np.full(size, self.value) if out is None else _into(out, self.value)
 
     def char(self, xi):
         return np.exp(-2j * np.pi * np.asarray(xi) * self.value)
@@ -122,11 +136,11 @@ class Atoms1D:
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
 
-    def sample(self, rng, size):
+    def sample(self, rng, size, out=None):
         u = rng.random(size)
         cum = np.cumsum(self.weights)
         idx = np.searchsorted(cum, u, side="right").clip(0, len(self.points) - 1)
-        return np.asarray(self.points)[idx]
+        return _into(out, np.asarray(self.points)[idx])
 
     def char(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -150,7 +164,9 @@ class Measure:
     algebra: NilpotentAlgebra
     aperiodic: bool
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+        """(size, dim) draws; written into ``out`` when it is given."""
         raise NotImplementedError
 
     def sample_steps(self, rng: np.random.Generator, steps: int, size: int) -> np.ndarray:
@@ -199,10 +215,10 @@ class AtomicMeasure(Measure):
         self.pts = np.array([[float(c) for c in p] for p in self.points])
         self._cum = np.cumsum([float(w) for w in self.weights])
 
-    def sample(self, rng, size):
+    def sample(self, rng, size, out=None):
         u = rng.random(size)
         idx = np.searchsorted(self._cum, u, side="right").clip(0, len(self.points) - 1)
-        return self.pts[idx]
+        return _into(out, self.pts[idx])
 
     def sample_steps(self, rng, steps, size):
         # Generator.random fills in order, so one call draws the same stream
@@ -237,9 +253,14 @@ class ProductMeasure(Measure):
         self.factors = tuple(factors)
         self.aperiodic = aperiodic
 
-    def sample(self, rng, size):
-        cols = [f.sample(rng, size) for f in self.factors]
-        return np.stack(cols, axis=-1)
+    def sample(self, rng, size, out=None):
+        """Factor-major draws.  ``out`` with contiguous columns, such as the
+        transpose of a (dim, size) buffer, takes each factor's draws in place."""
+        if out is None:
+            return np.stack([f.sample(rng, size) for f in self.factors], axis=-1)
+        for f, col in zip(self.factors, out.T):
+            f.sample(rng, size, out=col)
+        return out
 
     def mean_float(self):
         return np.array([f.moments()[0] for f in self.factors])
@@ -265,8 +286,8 @@ class AffineImage(Measure):
         self.shift = np.asarray(shift, dtype=float)
         self.aperiodic = base.aperiodic
 
-    def sample(self, rng, size):
-        return self.base.sample(rng, size) @ self.matrix + self.shift
+    def sample(self, rng, size, out=None):
+        return _into(out, self.base.sample(rng, size) @ self.matrix + self.shift)
 
     def sample_steps(self, rng, steps, size):
         return self.base.sample_steps(rng, steps, size) @ self.matrix + self.shift

@@ -1,36 +1,46 @@
 """Monte Carlo engine for N-step products and the limit-theorem experiments.
 
 All product folding happens in the weight-adapted basis in double
-precision, chunked over replicas.  Reproducibility contract: the master
-seed is split into one child stream per chunk through numpy's
-SeedSequence spawn mechanism, chunk boundaries are fixed by the config
-(never by the worker count), and partial results merge in chunk order, so
-identical configs give bit-identical estimates no matter how many workers
-run.
+precision, chunked over replicas.  Each experiment is a ``Plan``: a
+per-chunk reduction that runs inside the chunk's fold job and hands back
+a small partial (hit counts, sums), and a finish that merges the partials.
+One command runs every (N, chunk) fold job of its grid, and the limit-law
+bank it needs, on one ``job_pool`` of ``workers`` threads; at one worker
+the jobs run inline.  A fold job draws its increments in place, one row of
+a (dim, m) buffer per coordinate.
+
+Reproducibility contract: the master seed is split into one child stream
+per chunk through numpy's SeedSequence spawn mechanism, chunk boundaries
+are fixed by the config (never by the worker count), each N's partials
+merge in chunk order, so float sums add in one order, and the limit-law
+bank draws from its own stream.  Identical configs therefore give
+bit-identical estimates no matter how many workers run.
 
 Recentering modes: none, right translation by -N*X (mean recentering), or
 the variable version -N*X * -D_sqrt(N) Y that aims the window at density
-point Y.  One chunk runner folds both walks.  The gradually truncated walk
-differs from the plain one only in that each increment first passes the
-``measures.TruncatedMeasure`` clip of its schedule level, lifted to the
-drift extension; chunk plan, streams, workers and recentering are shared,
-so for compactly supported laws and large N the two coincide bit for bit.
-With several workers at most ``workers`` chunks are in flight at a time.
+point Y.  The gradually truncated walk differs from the plain one only in
+that each increment first passes the ``measures.TruncatedMeasure`` clip of
+its schedule level, lifted to the drift extension; chunk plan, streams,
+workers and recentering are shared, so for compactly supported laws and
+large N the two coincide bit for bit.
 
 Every experiment returns one ``ExperimentResult``: an estimate, its
 standard error and an optional target, with the experiment's own values
 in ``extra``.  ``csv_row`` and ``summary`` write it out, and ``within``
-holds the noise-aware acceptance rule.
+holds the noise-aware acceptance rule.  Its ``wall_time`` is the busy time
+of its fold jobs plus its finish, so a command's time splits over the grid
+in proportion to work.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -152,51 +162,110 @@ def recentering_vector_adapted(cfg: WalkConfig) -> np.ndarray:
     return prod(shift[None, :], (-scale * y_ad)[None, :])[0]
 
 
-# -- core streams --------------------------------------------------------------------
+# -- the fold engine -----------------------------------------------------------------
 
 
-def _fold_chunk(cfg: WalkConfig, rng: np.random.Generator, m: int, product: Callable,
-                shift: np.ndarray, truncs: Optional[Sequence[TruncatedMeasure]] = None
-                ) -> tuple[np.ndarray, int]:
-    """(products, clipped increments) of one chunk; ``truncs`` clips step k by truncs[k]."""
-    wf = cfg.filtration
+@dataclass
+class Plan:
+    """The folds of one walk config: ``reduce`` maps a chunk's (adapted
+    products, clipped increments) to a small partial inside its fold job, and
+    ``finish`` maps the partials, in chunk order, to the result.  ``truncs``
+    clips step k by truncs[k]."""
+
+    cfg: WalkConfig
+    reduce: Callable[[np.ndarray, int], Any]
+    finish: Callable[[list], Any]
+    truncs: Optional[Sequence[TruncatedMeasure]] = None
+
+
+class _Inline:
+    """The one-worker pool: a job runs as it is submitted."""
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@contextmanager
+def job_pool(workers: int):
+    """``workers`` threads for every job of one command; inline at one worker."""
+    if workers <= 1:
+        yield _Inline()
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _fold_job(plan: Plan, m: int, rng: np.random.Generator) -> tuple[Any, float]:
+    """(reduced partial, busy seconds) of one chunk folded on its own stream."""
+    t0 = time.perf_counter()
+    cfg, wf = plan.cfg, plan.cfg.filtration
+    product = wf.adapted_algebra.product_map()
+    buf = np.empty((wf.algebra.dim, m))  # one row per coordinate: the draws land in place
     s = np.zeros((m, wf.algebra.dim))
     clipped = 0
     for k in range(cfg.n_steps):
-        x = wf.to_adapted_float(cfg.measure.sample(rng, m))
-        if truncs is not None:
-            x, altered = truncs[k].clip(x)
+        x = wf.to_adapted_float(cfg.measure.sample(rng, m, out=buf.T))
+        if plan.truncs is not None:
+            x, altered = plan.truncs[k].clip(x)
             clipped += int(altered.sum())
         s = product(s, x)
+    shift = recentering_vector_adapted(cfg)
     if np.any(shift):
         s = product(s, shift[None, :])
-    return s, clipped
+    return plan.reduce(s, clipped), time.perf_counter() - t0
 
 
-def _folded_chunks(cfg: WalkConfig, truncs: Optional[Sequence[TruncatedMeasure]] = None
-                   ) -> Iterator[tuple[np.ndarray, int]]:
-    """The one chunk runner: _fold_chunk over the chunk plan, merged in chunk order."""
-    product = cfg.filtration.adapted_algebra.product_map()
-    shift = recentering_vector_adapted(cfg)
-    jobs = list(zip(cfg.chunk_plan(), cfg.chunk_streams()))
-    if cfg.workers <= 1:
-        for m, rng in jobs:
-            yield _fold_chunk(cfg, rng, m, product, shift, truncs)
-        return
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        # at most `workers` chunks in flight; yielded in chunk order, not completion order
-        pending = deque()
-        for m, rng in jobs:
-            pending.append(pool.submit(_fold_chunk, cfg, rng, m, product, shift, truncs))
-            if len(pending) == cfg.workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+def run_plans(plans: Sequence[Plan], pool) -> list:
+    """Every plan's result.  All (plan, chunk) fold jobs go to the pool
+    first, in plan-then-chunk order; then each plan finishes.  An
+    ``ExperimentResult`` gets the busy seconds of its jobs and its finish
+    as ``wall_time``."""
+    jobs = [[pool.submit(_fold_job, plan, m, rng)
+             for m, rng in zip(plan.cfg.chunk_plan(), plan.cfg.chunk_streams())]
+            for plan in plans]
+    results = []
+    for plan, futures in zip(plans, jobs):
+        done = [f.result() for f in futures]
+        t0 = time.perf_counter()
+        res = plan.finish([partial for partial, _ in done])
+        if isinstance(res, ExperimentResult):
+            res.wall_time = sum(busy for _, busy in done) + time.perf_counter() - t0
+        results.append(res)
+    return results
+
+
+def totals(partials: list[tuple]) -> list:
+    """Component-wise sums of tuple partials, added in chunk order from 0."""
+    return [sum(column) for column in zip(*partials)]
+
+
+def experiment(build: Callable[..., Plan]) -> Callable:
+    """The experiment of a plan builder, on a pool of ``cfg.workers``; the
+    builder stays reachable as ``.plan`` for callers that share one pool."""
+
+    @functools.wraps(build)
+    def run(cfg: WalkConfig, *args, **kwargs):
+        with job_pool(cfg.workers) as pool:
+            return run_plans([build(cfg, *args, **kwargs)], pool)[0]
+
+    run.plan = build
+    return run
+
+
+@experiment
+def _chunks(cfg: WalkConfig, truncs: Optional[Sequence[TruncatedMeasure]] = None) -> Plan:
+    """Every chunk's (products, clipped increments), unreduced (small M only)."""
+    return Plan(cfg, lambda s, clipped: (s, clipped), list, truncs)
 
 
 def product_stream(cfg: WalkConfig) -> Iterator[np.ndarray]:
-    """Chunks of recentered product samples in adapted coordinates."""
-    for s, _ in _folded_chunks(cfg):
+    """Chunks of recentered product samples in adapted coordinates (small M only)."""
+    for s, _ in _chunks(cfg):
         yield s
 
 
@@ -253,10 +322,18 @@ def lifted_truncation(cfg: WalkConfig, level: int) -> TruncatedMeasure:
                             exceed_probability=p_exceed, drift_layer1=drift)
 
 
+def gradual_truncation(cfg: WalkConfig, gamma0: float) -> list[TruncatedMeasure]:
+    """The clip of each step: the lifted truncation of its schedule level."""
+    truncs: list[TruncatedMeasure] = []
+    for level, count in truncation_schedule(cfg.n_steps, gamma0, cfg.algebra.step):
+        truncs += [lifted_truncation(cfg, level)] * count
+    return truncs
+
+
 def gradual_truncation_stream(cfg: WalkConfig, gamma0: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Chunks of (samples, altered counts) for the gradually truncated walk.
 
-    Runs on the plain walk's chunk runner, with each step's increment
+    Runs on the plain walk's fold engine, with each step's increment
     clipped by the lifted truncation of its schedule level.  Samples are in
     adapted base coordinates (projecting back from the drift extension is a
     no-op on the base part), recentered like the plain walk's; each chunk
@@ -264,10 +341,7 @@ def gradual_truncation_stream(cfg: WalkConfig, gamma0: float) -> Iterator[tuple[
     supported law and N past the squared support radius the two streams
     coincide, bit for bit.
     """
-    truncs: list[TruncatedMeasure] = []
-    for level, count in truncation_schedule(cfg.n_steps, gamma0, cfg.algebra.step):
-        truncs += [lifted_truncation(cfg, level)] * count
-    for s, clipped in _folded_chunks(cfg, truncs):
+    for s, clipped in _chunks(cfg, gradual_truncation(cfg, gamma0)):
         yield s, np.array([clipped])
 
 
@@ -357,40 +431,42 @@ def box_volume(box: Sequence[tuple[float, float]]) -> float:
     return v
 
 
+@experiment
 def llt_box_experiment(cfg: WalkConfig, box: Sequence[tuple[float, float]],
-                       config_digest: str = "") -> ExperimentResult:
+                       config_digest: str = "") -> Plan:
     """N^(hom_dim/2) times the box hit-rate of the recentered product.
 
     The box lives in original coordinates.  Zero hits are flagged as a
-    low-power result, not an error.
+    low-power result, not an error, and the stderr counts them as one hit.
     """
-    t0 = time.time()
     wf = cfg.filtration
     inside = box_indicator(box)
-    hits = 0
-    for chunk in product_stream(cfg):
-        hits += int(inside(wf.from_adapted_float(chunk)).sum())
-    m = cfg.n_replicas
-    p = hits / m
-    scale = float(cfg.n_steps) ** (wf.hom_dim / 2.0)
-    est = scale * p
-    se = scale * math.sqrt(max(p * (1 - p), 1e-300) / m)
-    return ExperimentResult(
-        experiment="llt_box", n_steps=cfg.n_steps, n_replicas=m,
-        estimate=est, stderr=se, seed=cfg.seed, config_digest=config_digest,
-        wall_time=time.time() - t0,
-        extra={
-            "hits": hits,
-            "box_volume": box_volume(box),
-            "low_power": hits < 10,
-            "per_volume": est / box_volume(box),
-            "per_volume_stderr": se / box_volume(box),
-        },
-    )
+
+    def finish(hits_per_chunk: list[int]) -> ExperimentResult:
+        hits = sum(hits_per_chunk)
+        m = cfg.n_replicas
+        scale = float(cfg.n_steps) ** (wf.hom_dim / 2.0)
+        est = scale * (hits / m)
+        p_floor = max(hits, 1) / m
+        se = scale * math.sqrt(p_floor * (1 - p_floor) / m)
+        return ExperimentResult(
+            experiment="llt_box", n_steps=cfg.n_steps, n_replicas=m,
+            estimate=est, stderr=se, seed=cfg.seed, config_digest=config_digest,
+            extra={
+                "hits": hits,
+                "box_volume": box_volume(box),
+                "low_power": hits < 10,
+                "per_volume": est / box_volume(box),
+                "per_volume_stderr": se / box_volume(box),
+            },
+        )
+
+    return Plan(cfg, lambda s, _: int(inside(wf.from_adapted_float(s)).sum()), finish)
 
 
+@experiment
 def clt_experiment(cfg: WalkConfig, histogram_bins: int = 0,
-                   config_digest: str = "") -> ExperimentResult:
+                   config_digest: str = "") -> Plan:
     """Rescale products by D_(1/sqrt N) and report per-layer moments.
 
     The estimate is the first layer-1 variance, with stderr 1/sqrt(M).
@@ -398,95 +474,98 @@ def clt_experiment(cfg: WalkConfig, histogram_bins: int = 0,
     coordinates, the per-layer covariance blocks, and optional
     per-coordinate histograms.
     """
-    t0 = time.time()
     wf = cfg.filtration
     d = wf.algebra.dim
     scale = np.power(float(cfg.n_steps), -wf.weights_array / 2.0)
-    total = np.zeros(d)
-    total2 = np.zeros((d, d))
-    count = 0
     edges = np.linspace(-5.0, 5.0, histogram_bins + 1) if histogram_bins else None
-    hists = np.zeros((d, histogram_bins), dtype=np.int64) if histogram_bins else None
-    for chunk in product_stream(cfg):
-        z = chunk * scale
-        total += z.sum(axis=0)
-        total2 += z.T @ z
-        count += z.shape[0]
+
+    def reduce(s: np.ndarray, _) -> tuple:
+        z = s * scale
+        hists = [np.histogram(z[:, j], bins=edges)[0] for j in range(d)] if histogram_bins else []
+        return z.sum(axis=0), z.T @ z, z.shape[0], np.array(hists)
+
+    def finish(parts: list[tuple]) -> ExperimentResult:
+        total, total2, count, hists = totals(parts)
+        mean = total / count
+        cov = total2 / count - np.outer(mean, mean)
+        layers = {}
+        for b in range(1, wf.max_weight + 1):
+            idx = wf.layer_indices(b)
+            if idx:
+                layers[b] = cov[np.ix_(idx, idx)].tolist()
+        se = 1.0 / math.sqrt(count)
+        extra = {"mean_adapted": mean.tolist(), "cov_adapted": cov.tolist(),
+                 "layer_cov": layers, "moment_stderr": se}
         if histogram_bins:
-            for j in range(d):
-                hists[j] += np.histogram(z[:, j], bins=edges)[0]
-    mean = total / count
-    cov = total2 / count - np.outer(mean, mean)
-    layers = {}
-    for b in range(1, wf.max_weight + 1):
-        idx = wf.layer_indices(b)
-        if idx:
-            layers[b] = cov[np.ix_(idx, idx)].tolist()
-    se = 1.0 / math.sqrt(count)
-    extra = {"mean_adapted": mean.tolist(), "cov_adapted": cov.tolist(), "layer_cov": layers,
-             "moment_stderr": se}
-    if histogram_bins:
-        extra["histogram_edges"] = edges.tolist()
-        extra["histograms"] = hists.tolist()
-    return ExperimentResult(
-        experiment="clt", n_steps=cfg.n_steps, n_replicas=cfg.n_replicas,
-        estimate=layers[1][0][0], stderr=se, seed=cfg.seed, config_digest=config_digest,
-        wall_time=time.time() - t0, extra=extra,
-    )
+            extra["histogram_edges"] = edges.tolist()
+            extra["histograms"] = hists.tolist()
+        return ExperimentResult(
+            experiment="clt", n_steps=cfg.n_steps, n_replicas=cfg.n_replicas,
+            estimate=layers[1][0][0], stderr=se, seed=cfg.seed, config_digest=config_digest,
+            extra=extra,
+        )
+
+    return Plan(cfg, reduce, finish)
 
 
+def _bank(nu_samples_adapted) -> np.ndarray:
+    """The limit-law bank, or the result of the job that builds it."""
+    return nu_samples_adapted.result() if isinstance(nu_samples_adapted, Future) \
+        else nu_samples_adapted
+
+
+@experiment
 def ratio_experiment(cfg: WalkConfig, box: Sequence[tuple[float, float]],
-                     nu_samples_adapted: np.ndarray,
+                     nu_samples_adapted: np.ndarray | Future,
                      g: Optional[Sequence[float]] = None,
                      h: Optional[Sequence[float]] = None,
-                     config_digest: str = "") -> ExperimentResult:
+                     config_digest: str = "") -> Plan:
     """Ratio of walk and limit-law masses of a common translated box.
 
     Numerator: P(g * S_N * h in box) from the walk.  Denominator: the same
     probability with S_N replaced by D_sqrt(N) of a limit sample.  The
-    standard error combines both sides by the delta method.
+    standard error combines both sides by the delta method.  The bank may
+    be the future of the job that builds it; it is read after the walk.
     """
-    t0 = time.time()
     wf = cfg.filtration
     prod = wf.adapted_algebra.product_map()
     inside = box_indicator(box)
     g_ad = None if g is None else wf.to_adapted_float(np.asarray(g, dtype=float))[None, :]
     h_ad = None if h is None else wf.to_adapted_float(np.asarray(h, dtype=float))[None, :]
 
-    def translate(z: np.ndarray) -> np.ndarray:
+    def hits(z: np.ndarray) -> int:
         if g_ad is not None:
             z = prod(np.broadcast_to(g_ad, z.shape), z)
         if h_ad is not None:
             z = prod(z, np.broadcast_to(h_ad, z.shape))
-        return z
+        return int(inside(wf.from_adapted_float(z)).sum())
 
-    hits_walk = 0
-    for chunk in product_stream(cfg):
-        hits_walk += int(inside(wf.from_adapted_float(translate(chunk))).sum())
-    m_walk = cfg.n_replicas
-    p_walk = hits_walk / m_walk
-
-    dil = np.power(float(cfg.n_steps), wf.weights_array / 2.0)
-    scaled = nu_samples_adapted * dil
-    hits_nu = int(inside(wf.from_adapted_float(translate(scaled))).sum())
-    m_nu = scaled.shape[0]
-    p_nu = hits_nu / m_nu
-
-    if hits_nu == 0:
-        ratio, se = math.inf, math.inf
-    else:
-        ratio = p_walk / p_nu
-        rel = math.sqrt(
-            max(1 - p_walk, 0.0) / max(hits_walk, 1) + max(1 - p_nu, 0.0) / hits_nu
+    def finish(hits_per_chunk: list[int]) -> ExperimentResult:
+        hits_walk = sum(hits_per_chunk)
+        m_walk = cfg.n_replicas
+        p_walk = hits_walk / m_walk
+        dil = np.power(float(cfg.n_steps), wf.weights_array / 2.0)
+        scaled = _bank(nu_samples_adapted) * dil
+        hits_nu = hits(scaled)
+        m_nu = scaled.shape[0]
+        p_nu = hits_nu / m_nu
+        if hits_nu == 0:
+            ratio, se = math.inf, math.inf
+        else:
+            ratio = p_walk / p_nu
+            rel = math.sqrt(
+                max(1 - p_walk, 0.0) / max(hits_walk, 1) + max(1 - p_nu, 0.0) / hits_nu
+            )
+            se = ratio * rel
+        return ExperimentResult(
+            experiment="ratio", n_steps=cfg.n_steps, n_replicas=m_walk,
+            estimate=ratio, stderr=se, target=1.0, seed=cfg.seed,
+            config_digest=config_digest,
+            extra={"hits_walk": hits_walk, "hits_nu": hits_nu, "nu_samples": m_nu,
+                   "p_walk": p_walk, "p_nu": p_nu},
         )
-        se = ratio * rel
-    return ExperimentResult(
-        experiment="ratio", n_steps=cfg.n_steps, n_replicas=m_walk,
-        estimate=ratio, stderr=se, target=1.0, seed=cfg.seed,
-        config_digest=config_digest, wall_time=time.time() - t0,
-        extra={"hits_walk": hits_walk, "hits_nu": hits_nu, "nu_samples": m_nu,
-               "p_walk": p_walk, "p_nu": p_nu},
-    )
+
+    return Plan(cfg, lambda s, _: hits(s), finish)
 
 
 def lipschitz_family(filtration: WeightFiltration, count: int, seed: int) -> list[tuple[str, Callable]]:
@@ -513,55 +592,57 @@ def lipschitz_family(filtration: WeightFiltration, count: int, seed: int) -> lis
     return fams
 
 
-def pixel_experiment(cfg: WalkConfig, nu_samples_adapted: np.ndarray,
+@experiment
+def pixel_experiment(cfg: WalkConfig, nu_samples_adapted: np.ndarray | Future,
                      tests: Optional[list[tuple[str, Callable]]] = None,
-                     config_digest: str = "") -> ExperimentResult:
+                     config_digest: str = "") -> Plan:
     """Gap between walk and dilated-limit expectations of Lipschitz tests.
 
     The limit side evaluates F on D_sqrt(N)(limit sample) * N X, matching
     the walk without recentering.  The estimate is the largest gap, against
     target 0, with the noise scale 1/sqrt(M) + 1/sqrt(bank size) as stderr.
     """
-    t0 = time.time()
     wf = cfg.filtration
     if cfg.recenter != "none":
         raise ValueError("pixel comparison expects the raw walk (recenter='none')")
     if tests is None:
         tests = lipschitz_family(wf, 6, seed=cfg.seed + 101)
 
-    sums = np.zeros(len(tests))
-    count = 0
-    for chunk in product_stream(cfg):
-        x = wf.from_adapted_float(chunk)
-        for j, (_, f) in enumerate(tests):
-            sums[j] += float(f(x).sum())
-        count += chunk.shape[0]
-    walk_means = sums / count
+    def reduce(s: np.ndarray, _) -> tuple[np.ndarray, int]:
+        x = wf.from_adapted_float(s)
+        return np.array([float(f(x).sum()) for _, f in tests]), s.shape[0]
 
-    dil = np.power(float(cfg.n_steps), wf.weights_array / 2.0)
-    prod = wf.adapted_algebra.product_map()
-    shift = cfg.n_steps * drift_vector_adapted(cfg)
-    z = nu_samples_adapted * dil
-    if np.any(shift):
-        z = prod(z, shift[None, :])
-    znat = wf.from_adapted_float(z)
-    nu_means = np.array([float(f(znat).mean()) for _, f in tests])
+    def finish(parts: list[tuple[np.ndarray, int]]) -> ExperimentResult:
+        sums, count = totals(parts)
+        walk_means = sums / count
 
-    gaps = np.abs(walk_means - nu_means)
-    noise = 1.0 / math.sqrt(count) + 1.0 / math.sqrt(z.shape[0])
-    max_gap = float(gaps.max())
-    return ExperimentResult(
-        experiment="pixel", n_steps=cfg.n_steps, n_replicas=cfg.n_replicas,
-        estimate=max_gap, stderr=noise, target=0.0, seed=cfg.seed,
-        config_digest=config_digest, wall_time=time.time() - t0,
-        extra={"tests": [name for name, _ in tests], "walk_means": walk_means.tolist(),
-               "limit_means": nu_means.tolist(), "gaps": gaps.tolist(), "max_gap": max_gap,
-               "noise_scale": noise},
-    )
+        dil = np.power(float(cfg.n_steps), wf.weights_array / 2.0)
+        prod = wf.adapted_algebra.product_map()
+        shift = cfg.n_steps * drift_vector_adapted(cfg)
+        z = _bank(nu_samples_adapted) * dil
+        if np.any(shift):
+            z = prod(z, shift[None, :])
+        znat = wf.from_adapted_float(z)
+        nu_means = np.array([float(f(znat).mean()) for _, f in tests])
+
+        gaps = np.abs(walk_means - nu_means)
+        noise = 1.0 / math.sqrt(count) + 1.0 / math.sqrt(z.shape[0])
+        max_gap = float(gaps.max())
+        return ExperimentResult(
+            experiment="pixel", n_steps=cfg.n_steps, n_replicas=cfg.n_replicas,
+            estimate=max_gap, stderr=noise, target=0.0, seed=cfg.seed,
+            config_digest=config_digest,
+            extra={"tests": [name for name, _ in tests], "walk_means": walk_means.tolist(),
+                   "limit_means": nu_means.tolist(), "gaps": gaps.tolist(),
+                   "max_gap": max_gap, "noise_scale": noise},
+        )
+
+    return Plan(cfg, reduce, finish)
 
 
+@experiment
 def theta_experiment(cfg: WalkConfig, gamma0: float,
-                     config_digest: str = "") -> ExperimentResult:
+                     config_digest: str = "") -> Plan:
     """Sample the gradually truncated product and report the clip rate.
 
     The estimate is the fraction p of the M*N increments that the clip
@@ -570,27 +651,24 @@ def theta_experiment(cfg: WalkConfig, gamma0: float,
     binomial stderr from above.  ``extra`` holds the schedule and the
     adapted-coordinate moments of the truncated product.
     """
-    t0 = time.time()
     wf = cfg.filtration
-    total = np.zeros(wf.algebra.dim)
-    total2 = np.zeros(wf.algebra.dim)
-    altered = 0
-    count = 0
-    for samples, alt in gradual_truncation_stream(cfg, gamma0):  # adapted coordinates
-        total += samples.sum(axis=0)
-        total2 += (samples**2).sum(axis=0)
-        altered += int(alt[0])
-        count += samples.shape[0]
-    mean = total / count
-    var = total2 / count - mean**2
-    increments = count * cfg.n_steps
-    p = altered / increments
-    return ExperimentResult(
-        experiment="theta", n_steps=cfg.n_steps, n_replicas=cfg.n_replicas,
-        estimate=p, stderr=math.sqrt(p * (1 - p) / increments), seed=cfg.seed,
-        config_digest=config_digest, wall_time=time.time() - t0,
-        extra={"gamma0": gamma0,
-               "schedule": truncation_schedule(cfg.n_steps, gamma0, wf.algebra.step),
-               "altered_fraction": p, "mean_adapted": mean.tolist(),
-               "var_adapted": var.tolist()},
-    )
+
+    def finish(parts: list[tuple]) -> ExperimentResult:
+        total, total2, altered, count = totals(parts)
+        mean = total / count
+        var = total2 / count - mean**2
+        increments = count * cfg.n_steps
+        p = altered / increments
+        return ExperimentResult(
+            experiment="theta", n_steps=cfg.n_steps, n_replicas=cfg.n_replicas,
+            estimate=p, stderr=math.sqrt(p * (1 - p) / increments), seed=cfg.seed,
+            config_digest=config_digest,
+            extra={"gamma0": gamma0,
+                   "schedule": truncation_schedule(cfg.n_steps, gamma0, wf.algebra.step),
+                   "altered_fraction": p, "mean_adapted": mean.tolist(),
+                   "var_adapted": var.tolist()},
+        )
+
+    # samples are adapted coordinates
+    return Plan(cfg, lambda s, clipped: (s.sum(axis=0), (s**2).sum(axis=0), clipped, s.shape[0]),
+                finish, gradual_truncation(cfg, gamma0))

@@ -1,7 +1,9 @@
 import json
 import math
+import sys
 import threading
 
+import numpy as np
 import pytest
 
 from nilwalk import walks
@@ -147,6 +149,38 @@ def test_walk_theta_worker_count_does_not_change_output(tmp_path, heis_config):
     assert runs[0] == runs[1] and runs[0][0] > 0
 
 
+def test_every_walk_mode_gives_the_same_csv_at_one_two_and_three_workers(tmp_path, heis_config):
+    """260 000 replicas make two chunks per N of the fixed 250 000-row plan, so
+    with the bank there are up to five jobs for three threads; a short switch
+    interval makes the threads interleave often."""
+    cfg = json.loads(heis_config.read_text()) | {"M": 260_000, "N_grid": [2, 4]}
+    cfg.pop("N")
+    cfg["params"] |= {"diffusion_steps": 8, "nu_samples": 2_000}
+    heis_config.write_text(json.dumps(cfg))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for mode in WALK_MODES:
+            bodies = []
+            for workers in ("1", "2", "3"):
+                out = tmp_path / f"{mode}{workers}.csv"
+                assert main(["--workers", workers, "walk", mode, "--config", str(heis_config),
+                             "--out", str(out)]) == 0
+                bodies.append(read_body(out))
+            assert bodies[0] == bodies[1] == bodies[2], mode
+            assert len(bodies[0]) == 1 + 2
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_is_a_parse_error(heis_config, workers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--workers", workers, "walk", "llt", "--config", str(heis_config)])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["llt", "clt", "theta"])
 def test_configured_check_fails_in_every_mode(tmp_path, heis_config, mode):
     cfg = json.loads(heis_config.read_text())
@@ -212,36 +246,58 @@ def test_walk_theta_reports_binomial_stderr(tmp_path, heis_config):
     assert main(["walk", "theta", "--config", str(heis_config), "--out", str(out)]) == 0
 
 
+def _leaves(obj):
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
 def test_workers_keep_at_most_workers_chunks_in_flight(tmp_path, heis_config, monkeypatch):
-    """1 000 000 replicas make four chunks of the fixed 250 000-row plan; a
-    chunk is in flight from the start of its fold until the stream yields it."""
+    """1 000 000 replicas make four chunks of the fixed 250 000-row plan.  A
+    chunk is in flight while its fold job runs, and the job hands back only
+    its reduced partial, never the chunk's (m, d) products; the limit bank
+    of `walk ratio` counts as one more job."""
+    from nilwalk import cli
+
     cfg = json.loads(heis_config.read_text()) | {"M": 1_000_000, "N": 2}
+    cfg["params"] |= {"diffusion_steps": 16, "nu_samples": 2_000}
     heis_config.write_text(json.dumps(cfg))
     out1, out2 = tmp_path / "one.csv", tmp_path / "two.csv"
-    assert main(["walk", "llt", "--config", str(heis_config), "--out", str(out1)]) == 0
+    assert main(["walk", "ratio", "--config", str(heis_config), "--out", str(out1)]) == 0
 
     lock = threading.Lock()
-    count = {"started": 0, "consumed": 0, "peak": 0}
-    fold, stream = walks._fold_chunk, walks.product_stream
+    count = {"started": 0, "running": 0, "peak": 0, "largest": 0}
 
-    def counted_fold(*args, **kwargs):
-        with lock:
-            count["started"] += 1
-            count["peak"] = max(count["peak"], count["started"] - count["consumed"])
-        return fold(*args, **kwargs)
-
-    def counted_stream(cfg):
-        for chunk in stream(cfg):
+    def counted(job):
+        def run(*args, **kwargs):
             with lock:
-                count["consumed"] += 1
-            yield chunk
+                count["started"] += 1
+                count["running"] += 1
+                count["peak"] = max(count["peak"], count["running"])
+            try:
+                return job(*args, **kwargs)
+            finally:
+                with lock:
+                    count["running"] -= 1
+        return run
 
-    monkeypatch.setattr(walks, "_fold_chunk", counted_fold)
-    monkeypatch.setattr(walks, "product_stream", counted_stream)
-    assert main(["--workers", "2", "walk", "llt", "--config", str(heis_config),
+    fold = counted(walks._fold_job)
+
+    def counted_fold(*args):
+        partial, busy = fold(*args)
+        with lock:
+            count["largest"] = max([count["largest"]] + [np.size(x) for x in _leaves(partial)])
+        return partial, busy
+
+    monkeypatch.setattr(walks, "_fold_job", counted_fold)
+    monkeypatch.setattr(cli, "simulate_limit", counted(cli.simulate_limit))
+    assert main(["--workers", "2", "walk", "ratio", "--config", str(heis_config),
                  "--out", str(out2)]) == 0
-    assert count["started"] == count["consumed"] == 4
+    assert count["started"] == 4 + 1
     assert count["peak"] <= 2
+    assert count["largest"] < 250_000
     assert read_body(out1) == read_body(out2)
 
 

@@ -37,6 +37,26 @@ def test_sampling_is_deterministic(heis, heis_gauss):
     assert np.array_equal(a, b)
 
 
+def test_sample_into_buffer_rows_is_bit_identical(heis):
+    """Each factor writes its own row of a (dim, m) buffer, in the same
+    factor-major draw order as a plain sample, over two calls in a row."""
+    alg = free_nilpotent(2, 3)
+    mu = ProductMeasure(alg, [Gaussian1D(0.3, 1.7), Uniform1D(-1.0, 0.7), TwoPoint1D(-1.0, 2.0, 0.3),
+                              Atoms1D((0.0, 1.5, -2.25), (0.25, 0.5, 0.25)), Dirac1D(0.75)])
+    measures = [mu, AtomicMeasure(heis, [(1, 0, 0), (0, 1, F(1, 3))], [F(1, 3), F(2, 3)]),
+                AffineImage(ProductMeasure(heis, [Gaussian1D(), Uniform1D(0.0, 2.0), Dirac1D(1.0)]),
+                            np.arange(9.0).reshape(3, 3), np.array([1.0, -1.0, 0.5]))]
+    for measure in measures:
+        d = measure.algebra.dim
+        plain, into = np.random.default_rng(11), np.random.default_rng(11)
+        buf = np.full((d, 1000), np.nan)
+        for _ in range(2):
+            expected = measure.sample(plain, 1000)
+            got = measure.sample(into, 1000, out=buf.T)
+            assert got is buf.T or np.shares_memory(got, buf)
+            assert np.ascontiguousarray(buf.T).tobytes() == expected.tobytes()
+
+
 def test_atoms_validation(heis):
     with pytest.raises(ValueError):
         AtomicMeasure(heis, [(0, 0, 0)], [F(1, 2)])

@@ -85,6 +85,16 @@ def test_bench_worker_times_the_kernel(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bench_worker_times_a_walk(tmp_path):
+    proc = run_script("bench.py", ["walk", "--case", "clt"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    metrics, output = json.loads(proc.stdout.splitlines()[-1])
+    assert metrics["wall_s"] > 0 and metrics["cpu_s"] > 0 and metrics["peak_rss_mb"] > 0
+    rc, digest = output.split(":")
+    assert rc == "0" and len(digest) == 64
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_pair_summary():
     parent = [5.0, 1.0, 4.0, 2.0, 3.0]
     change = [4.0, 2.0, 4.0, 1.0, 1.5]

@@ -213,6 +213,21 @@ def test_llt_box_low_power_flag(heis_centered, heis_gauss):
     assert res.estimate >= 0.0
 
 
+def test_zero_hit_llt_stderr_counts_one_hit():
+    """free-nilpotent(2,3) drifting along e1 ends near x1 = 16 after 16 steps,
+    so the box [-2,2]^5 gets no hit; the stderr is that of one hit in M."""
+    alg = free_nilpotent(2, 3)
+    wf = WeightFiltration(alg, [1, 0, 0, 0, 0])
+    mu = ProductMeasure(alg, [Uniform1D(0.5, 1.5)] + [Uniform1D(-1.0, 1.0)] * 4)
+    m = 6000
+    res = llt_box_experiment(WalkConfig(wf, mu, 16, m, seed=0, recenter="none"),
+                             [(-2.0, 2.0)] * 5)
+    scale = 16.0 ** (wf.hom_dim / 2.0)
+    assert res.extra["hits"] == 0 and res.estimate == 0.0
+    assert res.stderr == scale * math.sqrt((1 / m) * (1 - 1 / m) / m)
+    assert res.extra["low_power"]
+
+
 def test_llt_far_recentering_kills_mass(heis_centered, heis_gauss):
     cfg = WalkConfig(heis_centered, heis_gauss, 64, 20_000, seed=6,
                      recenter="variable", variable_shift=[40.0, 0.0, 0.0])
