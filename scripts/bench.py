@@ -4,21 +4,24 @@
     python scripts/bench.py {kernel,exact,nilmanifold,walk} [--parent SRC]
 
 kernel times product_map per builtin algebra (ns per replica-step, and the
-build time), exact each exact identity family and acceptance criterion 1,
-nilmanifold the Cesaro walk on H(R)/H(Z) at three (replicas, steps)
-shapes (seconds per call, and peak RSS), and walk one `nilwalk walk`
-command per case (wall and CPU seconds, and peak RSS): llt and ratio at
-the sizes of the benchmark's heis-llt workload on two workers, clt at
-those of deep-clt on one.  Every case runs in a fresh
-process on each tree, in PAIRS pairs that alternate which tree runs first.
-The change is the checkout holding this script; --parent names the src
-directory to compare it with (default: this checkout, which measures the
-spread of identical code).  BENCH_<suite>.json in the working directory
-gets, per case and metric, each tree's value in every pair with their
-median and quartiles, the pairs each tree won (lower is better; a tie
-counts for neither), the parent/change ratio of the medians, and whether
-both trees gave the same output (the product's bytes, a verdict, the
-Cesaro report's digest, or the exit code and CSV body digest of a walk).
+build time), and its in-place call on coordinate-major x and y, the layout
+of the walk's fold on an identity adapted basis, checking that it writes
+the allocating call's bytes; exact each exact identity family and
+acceptance criterion 1, nilmanifold the Cesaro walk on H(R)/H(Z) at three
+(replicas, steps) shapes (seconds per call, and peak RSS), and walk one
+`nilwalk walk` command per case (wall and CPU seconds, and peak RSS): llt
+and ratio at the sizes of the benchmark's heis-llt workload on two
+workers, llt on a three-N grid, and clt at those of deep-clt on one.
+Every case runs in a fresh process on each tree, in PAIRS pairs that
+alternate which tree runs first.  The change is the checkout holding this
+script; --parent names the src directory to compare it with (default:
+this checkout, which measures the spread of identical code).
+BENCH_<suite>.json in the working directory gets, per case and metric,
+each tree's value in every pair with their median and quartiles, the
+pairs each tree won (lower is better; a tie counts for neither), the
+parent/change ratio of the medians, and whether both trees gave the same
+output (the product's bytes, a verdict, the Cesaro report's digest, or
+the exit code and CSV body digest of a walk).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -51,10 +55,10 @@ CESARO_SHAPES = [(100, 8000), (10, 20_000), (1000, 2000)]
 CESARO_CELLS, CESARO_SEED, CESARO_REPEATS = 8, 3, 5
 
 
-def heis_walk(m, box):
+def heis_walk(m, box, grid=(16, 32)):
     return {"algebra": "heisenberg3", "drift": [0, 0, 0],
             "measure": {"kind": "gaussian_layers", "cov": [1.0, 1.0, 0.0]},
-            "seed": 921, "M": m, "N_grid": [16, 32],
+            "seed": 921, "M": m, "N_grid": list(grid),
             "params": {"recenter": "none", "box": [box] * 3, "diffusion_steps": 64,
                        "nu_samples": 100_000}}
 
@@ -63,6 +67,7 @@ def heis_walk(m, box):
 WALK_CASES = {
     "llt": (2, "llt", heis_walk(500_000, [-2.0, 2.0])),
     "ratio": (2, "ratio", heis_walk(250_000, [-3.0, 3.0])),
+    "llt-grid": (2, "llt", heis_walk(500_000, [-2.0, 2.0], grid=(8, 16, 32))),
     "clt": (1, "clt", {"algebra": "free-nilpotent(2,3)", "drift": [1, 0, 0, 0, 0],
                        "measure": {"kind": "product", "factors": [
                            {"kind": "uniform", "lo": 0.5, "hi": 1.5}]
@@ -100,7 +105,17 @@ def kernel_case(name):
     y = rng.uniform(-1.0, 1.0, (KERNEL_ROWS, alg.dim))
     out = product(x, y)
     _, times = timed(lambda: product(x, y), KERNEL_REPEATS)
+    xc, yc = (np.ascontiguousarray(a.T).T for a in (x, y))  # coordinate-major
+    if "out" in inspect.signature(product).parameters:
+        in_place = functools.partial(product, xc, yc, out=xc)
+    else:  # a tree without out= makes the fold reassign
+        in_place = functools.partial(product, xc, yc)
+    if np.ascontiguousarray(in_place()).tobytes() != out.tobytes():
+        raise SystemExit(f"{name}: the in-place product differs from the allocating one")
+    _, in_place_times = timed(in_place, KERNEL_REPEATS)
     return ({"ns_per_replica_step": statistics.median(times) / KERNEL_ROWS * 1e9,
+             "in_place_ns_per_replica_step": statistics.median(in_place_times)
+             / KERNEL_ROWS * 1e9,
              "compile_s": compile_s}, hashlib.sha256(out.tobytes()).hexdigest())
 
 

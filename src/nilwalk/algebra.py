@@ -228,7 +228,9 @@ class NilpotentAlgebra:
         each coordinate adds its higher monomials, summed in groups of equal
         |coefficient| and scaled once per group.  Each monomial, and each
         prefix of one, is computed once per pass and shared by the
-        coordinates; a pass takes at most BLOCK_ROWS rows.
+        coordinates; a pass takes at most BLOCK_ROWS rows.  ``out=`` may be x
+        or y itself, with the same bits; in a coordinate-major array (the
+        transpose of a (dim, n) buffer) each coordinate is contiguous.
         """
         return self._product_kernel
 
@@ -250,10 +252,12 @@ class NilpotentAlgebra:
                 plan.append((k, float(c), pos, neg) if pos else (k, -float(c), neg, pos))
         variables = sorted({v for m in steps for v in m})
 
-        def accumulate(out: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+        def accumulate(out: np.ndarray, x: np.ndarray, y: np.ndarray, add: bool) -> None:
             val = {(v,): x[..., v] if v < d else y[..., v - d] for v in variables}
             for m, (prefix, last) in steps.items():
                 val[m] = val[prefix] * val[last]
+            if add:  # out may be x or y: it is written once every monomial is taken
+                np.add(x, y, out=out)
             for k, c, pos, neg in plan:
                 acc = val[pos[0]]
                 for m in pos[1:]:
@@ -262,19 +266,20 @@ class NilpotentAlgebra:
                     acc = acc - val[m]
                 out[..., k] += acc if c == 1.0 else c * acc
 
-        def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        def product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             x = np.asarray(x, dtype=float)
             y = np.asarray(y, dtype=float)
-            out = x + y
+            add = out is not None
+            out = out if add else x + y
             n = len(out) if out.ndim == 2 and plan else 0
             if n <= BLOCK_ROWS:
-                if plan:
-                    accumulate(out, x, y)
+                if plan or add:
+                    accumulate(out, x, y, add)
                 return out
             for lo in range(0, n, BLOCK_ROWS):
                 rows = slice(lo, lo + BLOCK_ROWS)
                 accumulate(out[rows], *(a[rows] if a.ndim == 2 and len(a) == n else a
-                                        for a in (x, y)))
+                                        for a in (x, y)), add)
             return out
 
         return product

@@ -96,24 +96,25 @@ def simulate_limit(spec: DiffusionSpec, rng: np.random.Generator, n_samples: int
     h = 1.0 / K
     product = wf.graded_algebra.product_map()
     q = spec.noise_basis.shape[0]
-    # precompute the rotated fields on the time grid
+    # precompute the rotated fields on the time grid, the drift times h
     rotated_noise = []
     rotated_drift = []
     for j in range(K):
         flow = wf.exp_ax_float(j * h)
         rotated_noise.append(spec.noise_basis @ flow)
-        rotated_drift.append(spec.drift2 @ flow)
-    out = np.empty((n_samples, d))
-    done = 0
-    while done < n_samples:
-        m = min(LIMIT_CHUNK, n_samples - done)
-        sigma = np.zeros((m, d))
+        rotated_drift.append(h * (spec.drift2 @ flow))
+    sqrt_h = math.sqrt(h)
+    out = np.zeros((n_samples, d))
+    for lo in range(0, n_samples, LIMIT_CHUNK):
+        sigma = out[lo:lo + LIMIT_CHUNK]  # folded in place
+        xi = np.empty((len(sigma), q))
+        inc = np.empty_like(sigma)
         for j in range(K):
-            xi = rng.standard_normal((m, q))
-            inc = math.sqrt(h) * (xi @ rotated_noise[j]) + h * rotated_drift[j]
-            sigma = product(sigma, inc)
-        out[done:done + m] = sigma
-        done += m
+            rng.standard_normal(out=xi)
+            np.matmul(xi, rotated_noise[j], out=inc)
+            inc *= sqrt_h
+            inc += rotated_drift[j]
+            product(sigma, inc, out=sigma)
     return out
 
 

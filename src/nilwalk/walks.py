@@ -4,10 +4,13 @@ All product folding happens in the weight-adapted basis in double
 precision, chunked over replicas.  Each experiment is a ``Plan``: a
 per-chunk reduction that runs inside the chunk's fold job and hands back
 a small partial (hit counts, sums), and a finish that merges the partials.
-One command runs every (N, chunk) fold job of its grid, and the limit-law
-bank it needs, on one ``job_pool`` of ``workers`` threads; at one worker
-the jobs run inline.  A fold job draws its increments in place, one row of
-a (dim, m) buffer per coordinate.
+Plans that differ only in N or recentering share every chunk's stream, so
+one fold job per chunk folds to their largest N and reduces each plan as it
+passes that plan's N; theta clips by an N-dependent schedule, so its plans
+fold alone.  One command runs its fold jobs, and the limit-law bank it
+needs, on one ``job_pool`` of ``workers`` threads; at one worker the jobs
+run inline.  A fold job draws its increments in place into a (dim, m)
+buffer and folds them in place into another, one row per coordinate.
 
 Reproducibility contract: the master seed is split into one child stream
 per chunk through numpy's SeedSequence spawn mechanism, chunk boundaries
@@ -27,9 +30,7 @@ large N the two coincide bit for bit.
 Every experiment returns one ``ExperimentResult``: an estimate, its
 standard error and an optional target, with the experiment's own values
 in ``extra``.  ``csv_row`` and ``summary`` write it out, and ``within``
-holds the noise-aware acceptance rule.  Its ``wall_time`` is the busy time
-of its fold jobs plus its finish, so a command's time splits over the grid
-in proportion to work.
+holds the noise-aware acceptance rule.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ from .measures import Measure, TruncatedMeasure, recentering_constant
 @dataclass
 class ExperimentResult:
     """One Monte Carlo estimate with its standard error and target; the
-    experiment's own values (moments, hit counts, gaps) go in ``extra``."""
+    experiment's own values (moments, hit counts, gaps) go in ``extra``.
+    ``wall_time`` is the run's own fold segments, reduces and finish, so the
+    runs of one command sum to its busy time."""
 
     experiment: str
     n_steps: int
@@ -169,8 +172,9 @@ def recentering_vector_adapted(cfg: WalkConfig) -> np.ndarray:
 class Plan:
     """The folds of one walk config: ``reduce`` maps a chunk's (adapted
     products, clipped increments) to a small partial inside its fold job, and
-    ``finish`` maps the partials, in chunk order, to the result.  ``truncs``
-    clips step k by truncs[k]."""
+    ``finish`` maps the partials, in chunk order, to the result.  The
+    products are the job's scratch, so a partial must not keep them.
+    ``truncs`` clips step k by truncs[k]."""
 
     cfg: WalkConfig
     reduce: Callable[[np.ndarray, int], Any]
@@ -200,42 +204,59 @@ def job_pool(workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _fold_job(plan: Plan, m: int, rng: np.random.Generator) -> tuple[Any, float]:
-    """(reduced partial, busy seconds) of one chunk folded on its own stream."""
+def _fold_job(plans: Sequence[Plan], m: int, rng: np.random.Generator) -> list[tuple[Any, float]]:
+    """Each plan's (reduced partial, busy seconds) from one chunk folded on
+    its own stream.  The plans differ only in N and recentering and come in
+    N order: the fold runs to the last N, and a plan reduces as the fold
+    passes its N.  Its seconds are its own fold segment and its reduce."""
     t0 = time.perf_counter()
-    cfg, wf = plan.cfg, plan.cfg.filtration
+    cfg, wf, truncs = plans[0].cfg, plans[0].cfg.filtration, plans[0].truncs
     product = wf.adapted_algebra.product_map()
     buf = np.empty((wf.algebra.dim, m))  # one row per coordinate: the draws land in place
-    s = np.zeros((m, wf.algebra.dim))
-    clipped = 0
-    for k in range(cfg.n_steps):
-        x = wf.to_adapted_float(cfg.measure.sample(rng, m, out=buf.T))
-        if plan.truncs is not None:
-            x, altered = plan.truncs[k].clip(x)
-            clipped += int(altered.sum())
-        s = product(s, x)
-    shift = recentering_vector_adapted(cfg)
-    if np.any(shift):
-        s = product(s, shift[None, :])
-    return plan.reduce(s, clipped), time.perf_counter() - t0
+    s = np.zeros((wf.algebra.dim, m))  # the products, coordinate-major, folded in place
+    clipped, k, done = 0, 0, []
+    for plan in plans:
+        while k < plan.cfg.n_steps:
+            x = wf.to_adapted_float(cfg.measure.sample(rng, m, out=buf.T))
+            if truncs is not None:
+                x, altered = truncs[k].clip(x)
+                clipped += int(altered.sum())
+            product(s.T, x, out=s.T)
+            k += 1
+        # the draws are spent, so their buffer takes a row-major copy of the
+        # products: the reduce sums in its usual order, and no array is added
+        z = buf.reshape(m, -1)
+        np.copyto(z, s.T)
+        shift = recentering_vector_adapted(plan.cfg)
+        if np.any(shift):
+            product(z, shift[None, :], out=z)
+        done.append((plan.reduce(z, clipped), time.perf_counter() - t0))
+        t0 = time.perf_counter()
+    return done
 
 
 def run_plans(plans: Sequence[Plan], pool) -> list:
-    """Every plan's result.  All (plan, chunk) fold jobs go to the pool
-    first, in plan-then-chunk order; then each plan finishes.  An
-    ``ExperimentResult`` gets the busy seconds of its jobs and its finish
-    as ``wall_time``."""
-    jobs = [[pool.submit(_fold_job, plan, m, rng)
-             for m, rng in zip(plan.cfg.chunk_plan(), plan.cfg.chunk_streams())]
-            for plan in plans]
-    results = []
-    for plan, futures in zip(plans, jobs):
-        done = [f.result() for f in futures]
-        t0 = time.perf_counter()
-        res = plan.finish([partial for partial, _ in done])
-        if isinstance(res, ExperimentResult):
-            res.wall_time = sum(busy for _, busy in done) + time.perf_counter() - t0
-        results.append(res)
+    """Every plan's result.  Plans that differ only in N or recentering
+    share one fold job per chunk; all jobs go to the pool first, then each
+    plan finishes.  An ``ExperimentResult`` gets the busy seconds of its
+    segments of those jobs and of its finish as ``wall_time``."""
+    groups: dict[Any, list[int]] = {}
+    for i in sorted(range(len(plans)), key=lambda i: plans[i].cfg.n_steps):
+        c = plans[i].cfg  # a clip schedule depends on N, so a clipped plan folds alone
+        groups.setdefault(i if plans[i].truncs is not None else (
+            id(c.filtration), id(c.measure), c.seed, c.n_replicas, c.chunk_size), []).append(i)
+    jobs = [(g, [pool.submit(_fold_job, [plans[i] for i in g], m, rng) for m, rng in
+                 zip(plans[g[0]].cfg.chunk_plan(), plans[g[0]].cfg.chunk_streams())])
+            for g in groups.values()]
+    results = [None] * len(plans)
+    for group, futures in jobs:
+        done = [f.result() for f in futures]  # done[chunk][j]: plan group[j]'s (partial, busy)
+        for j, i in enumerate(group):
+            t0 = time.perf_counter()
+            res = plans[i].finish([chunk[j][0] for chunk in done])
+            if isinstance(res, ExperimentResult):
+                res.wall_time = sum(chunk[j][1] for chunk in done) + time.perf_counter() - t0
+            results[i] = res
     return results
 
 
@@ -260,7 +281,7 @@ def experiment(build: Callable[..., Plan]) -> Callable:
 @experiment
 def _chunks(cfg: WalkConfig, truncs: Optional[Sequence[TruncatedMeasure]] = None) -> Plan:
     """Every chunk's (products, clipped increments), unreduced (small M only)."""
-    return Plan(cfg, lambda s, clipped: (s, clipped), list, truncs)
+    return Plan(cfg, lambda s, clipped: (s.copy(), clipped), list, truncs)
 
 
 def product_stream(cfg: WalkConfig) -> Iterator[np.ndarray]:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilwalk.algebra import (
+    BLOCK_ROWS,
     DimensionMismatch,
     NilpotentAlgebra,
     abelian,
@@ -311,6 +312,26 @@ def test_product_map_is_cached_and_blocks_rows_exactly():
     rows = np.array([pm(a, b) for a, b in zip(x, y)])
     assert np.array_equal(pm(x, y), rows)
     assert np.array_equal(pm(x, shift[None, :]), np.array([pm(a, shift) for a in x]))
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_ALGEBRAS))
+def test_product_in_place_is_bit_identical(name):
+    """out=x (or out=y) gets the bits of product(x, y): row-major and
+    coordinate-major x, a full and a broadcast one-row y, one pass and more."""
+    alg = GUARD_ALGEBRAS[name]()
+    pm = alg.product_map()
+    rng = np.random.default_rng(13)
+    for n in (50, 2 * BLOCK_ROWS + 7):
+        x = rng.uniform(-1, 1, (n, alg.dim))
+        for y in (rng.uniform(-1, 1, (n, alg.dim)), rng.uniform(-1, 1, (1, alg.dim))):
+            want = pm(x, y).tobytes()
+            for a in (x.copy(), np.ascontiguousarray(x.T).T):
+                assert pm(a, y, out=a) is a
+                assert np.ascontiguousarray(a).tobytes() == want
+            if len(y) == n:
+                b = y.copy()
+                pm(x, b, out=b)
+                assert b.tobytes() == want
 
 
 # -- the integer Lie evaluator --------------------------------------------------------

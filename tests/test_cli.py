@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import sys
@@ -173,6 +174,50 @@ def test_every_walk_mode_gives_the_same_csv_at_one_two_and_three_workers(tmp_pat
         sys.setswitchinterval(interval)
 
 
+GRID_WALKS = {
+    "heisenberg3": {"algebra": "heisenberg3", "drift": [0, 0, 0],
+                    "measure": {"kind": "gaussian_layers", "cov": [1.0, 1.0, 0.0]},
+                    "params": {"Y": [0.5, -0.5, 0.25], "box": [[-2, 2]] * 3}},
+    "free-nilpotent(2,3)+e1": {
+        "algebra": "free-nilpotent(2,3)", "drift": [1, 0, 0, 0, 0],
+        "measure": {"kind": "product", "factors": [
+            {"kind": "uniform", "lo": 0.5, "hi": 1.5}, {"kind": "gaussian", "std": 1.0},
+            {"kind": "uniform", "lo": -1.0, "hi": 1.0}, {"kind": "gaussian", "mean": 0.2},
+            {"kind": "uniform", "lo": -0.5, "hi": 0.5}]},
+        "params": {"Y": [0.5, -0.5, 0.25, 0.1, -0.1], "box": [[-8, 8]] * 5}},
+}
+
+
+@pytest.mark.parametrize("mode", list(WALK_MODES))
+@pytest.mark.parametrize("algebra", list(GRID_WALKS))
+def test_a_grid_walk_gives_the_rows_of_its_one_n_walks(tmp_path, monkeypatch, algebra, mode):
+    """The N of a grid share one fold per chunk; each N run on its own gives
+    the same CSV row, but for the config digest.  Chunks of 700 rows cut
+    M = 1500 into three, and the grid is out of order."""
+    from nilwalk import cli
+
+    monkeypatch.setattr(cli, "WalkConfig", functools.partial(walks.WalkConfig, chunk_size=700))
+    path, grid = tmp_path / "cfg.json", [4, 2, 6]
+
+    def rows(cfg: dict, workers: str) -> list[list[str]]:
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out.csv"
+        assert main(["--workers", workers, "walk", mode, "--config", str(path),
+                     "--out", str(out)]) == 0
+        header, *body = read_body(out)
+        keep = [c != "config_digest" for c in header.split(",")]
+        return [[v for v, k in zip(line.split(","), keep) if k] for line in body]
+
+    base = GRID_WALKS[algebra]
+    for recenter in ("none", "mean", "variable"):
+        cfg = base | {"seed": 31, "M": 1_500, "params": base["params"] | {
+            "recenter": recenter, "diffusion_steps": 8, "nu_samples": 2_000}}
+        alone = [row for n in grid for row in rows(cfg | {"N": n}, "1")]
+        assert len(alone) == len(grid)
+        for workers in ("1", "2"):
+            assert rows(cfg | {"N_grid": grid}, workers) == alone, (recenter, workers)
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_is_a_parse_error(heis_config, workers, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -254,14 +299,16 @@ def _leaves(obj):
         yield obj
 
 
-def test_workers_keep_at_most_workers_chunks_in_flight(tmp_path, heis_config, monkeypatch):
-    """1 000 000 replicas make four chunks of the fixed 250 000-row plan.  A
-    chunk is in flight while its fold job runs, and the job hands back only
-    its reduced partial, never the chunk's (m, d) products; the limit bank
-    of `walk ratio` counts as one more job."""
+def _count_walk_ratio_jobs(tmp_path, heis_config, monkeypatch, grid: dict) -> dict:
+    """Runs `walk ratio` at one and at two workers with M = 1 000 000, four
+    chunks of the fixed 250 000-row plan, and counts the jobs of the second
+    run: how many started, how many ran at once, and the largest array in
+    any partial that a fold job handed back."""
     from nilwalk import cli
 
-    cfg = json.loads(heis_config.read_text()) | {"M": 1_000_000, "N": 2}
+    cfg = json.loads(heis_config.read_text()) | {"M": 1_000_000} | grid
+    if "N_grid" in grid:
+        cfg.pop("N")
     cfg["params"] |= {"diffusion_steps": 16, "nu_samples": 2_000}
     heis_config.write_text(json.dumps(cfg))
     out1, out2 = tmp_path / "one.csv", tmp_path / "two.csv"
@@ -286,19 +333,39 @@ def test_workers_keep_at_most_workers_chunks_in_flight(tmp_path, heis_config, mo
     fold = counted(walks._fold_job)
 
     def counted_fold(*args):
-        partial, busy = fold(*args)
+        done = fold(*args)  # one (partial, busy seconds) per plan of the job
         with lock:
-            count["largest"] = max([count["largest"]] + [np.size(x) for x in _leaves(partial)])
-        return partial, busy
+            count["largest"] = max([count["largest"]] + [np.size(x) for partial, _ in done
+                                                         for x in _leaves(partial)])
+        return done
 
     monkeypatch.setattr(walks, "_fold_job", counted_fold)
     monkeypatch.setattr(cli, "simulate_limit", counted(cli.simulate_limit))
     assert main(["--workers", "2", "walk", "ratio", "--config", str(heis_config),
                  "--out", str(out2)]) == 0
+    return count | {"bodies": (read_body(out1), read_body(out2))}
+
+
+def test_workers_keep_at_most_workers_chunks_in_flight(tmp_path, heis_config, monkeypatch):
+    """A chunk is in flight while its fold job runs, and the job hands back
+    only its reduced partials, never the chunk's (m, d) products; the limit
+    bank of `walk ratio` counts as one more job."""
+    count = _count_walk_ratio_jobs(tmp_path, heis_config, monkeypatch, {"N": 2})
     assert count["started"] == 4 + 1
     assert count["peak"] <= 2
     assert count["largest"] < 250_000
-    assert read_body(out1) == read_body(out2)
+    assert count["bodies"][0] == count["bodies"][1]
+
+
+def test_a_grid_folds_each_chunk_once(tmp_path, heis_config, monkeypatch):
+    """N = 2 and N = 4 share the seed, so one fold job per chunk serves both:
+    four jobs and the bank, not eight and the bank."""
+    count = _count_walk_ratio_jobs(tmp_path, heis_config, monkeypatch, {"N_grid": [2, 4]})
+    assert count["started"] == 4 + 1
+    assert count["peak"] <= 2
+    assert count["largest"] < 250_000
+    assert count["bodies"][0] == count["bodies"][1]
+    assert len(count["bodies"][0]) == 1 + 2
 
 
 @pytest.mark.parametrize("mode, nested, top", [

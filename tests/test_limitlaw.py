@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, shapiro
 
-from nilwalk.algebra import abelian, free_nilpotent, heisenberg3
+from nilwalk import limitlaw
+from nilwalk.algebra import abelian, filiform4, free_nilpotent, heisenberg3
 from nilwalk.filtration import WeightFiltration
 from nilwalk.limitlaw import (
     DiffusionSpec,
@@ -209,3 +211,33 @@ def test_envelope_flags_proper_support(heis_centered):
     zs[:, 0] = np.abs(zs[:, 0]) + 0.5
     rep = gaussian_envelope_check(heis_centered, zs)
     assert rep["support_flag"]
+
+
+# SHA-256 of simulate_limit's bytes at 1000 samples, 16 time steps, passes of
+# 300 samples and seed 20240601, recorded before the Euler loop folded in place
+LIMIT_DIGESTS = {
+    "heisenberg3": "cc083f178178e4f9685bc9b14d126f1cc2d0db96d9bb240e3ca7235695287e9c",
+    "free-nilpotent(2,3)+e1": "1627341ff63ad95cfeebf6d05509f030427d3a34443f28f094e16a2e9805736d",
+    "filiform4+e2": "91ae9e57e80364b8cf4e5460522c94a80e8ae56bc083f37466e0ef413be9fabc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_DIGESTS))
+def test_simulate_limit_bytes_are_pinned(name, monkeypatch):
+    """Centred heisenberg3 with a layer-2 mean, free-nilpotent(2,3) with drift
+    e1 and filiform4 with drift e2; more samples than one pass takes."""
+    monkeypatch.setattr(limitlaw, "LIMIT_CHUNK", 300)
+    alg, drift, factors = {
+        "heisenberg3": (heisenberg3(), [0, 0, 0],
+                        [Gaussian1D(), Gaussian1D(), Gaussian1D(0.3, 0.5)]),
+        "free-nilpotent(2,3)+e1": (free_nilpotent(2, 3), [1, 0, 0, 0, 0],
+                                   [Uniform1D(0.5, 1.5), Gaussian1D(), Gaussian1D(0.25, 1.0),
+                                    Uniform1D(-1.0, 1.0), Gaussian1D()]),
+        "filiform4+e2": (filiform4(), [0, 1, 0, 0],
+                         [Gaussian1D(), Uniform1D(0.0, 2.0), Gaussian1D(0.5, 1.0),
+                          Gaussian1D(-0.25, 1.0)]),
+    }[name]
+    spec = DiffusionSpec.from_measure(WeightFiltration(alg, drift), ProductMeasure(alg, factors),
+                                      n_time_steps=16)
+    z = simulate_limit(spec, np.random.default_rng(20240601), 1000)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == LIMIT_DIGESTS[name]
