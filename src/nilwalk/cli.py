@@ -39,6 +39,7 @@ from .config import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    load_json,
     parse_algebra,
     write_csv,
     write_summary,
@@ -70,7 +71,7 @@ def _parse_coords(text: str) -> list[Fraction]:
 
 
 def cmd_algebra_check(args) -> int:
-    spec = args.builtin if args.builtin else json.load(open(args.file))
+    spec = args.builtin if args.builtin else load_json(args.file)
     algebra = parse_algebra(spec)  # constructor validates antisymmetry/Jacobi/step
     report = {
         "name": algebra.name or "inline",
@@ -85,7 +86,7 @@ def cmd_algebra_check(args) -> int:
 
 
 def cmd_filtration_compute(args) -> int:
-    spec = args.algebra if not args.algebra.endswith(".json") else json.load(open(args.algebra))
+    spec = args.algebra if not args.algebra.endswith(".json") else load_json(args.algebra)
     algebra = parse_algebra(spec)
     drift = _parse_coords(args.drift)
     if len(drift) != algebra.dim:
@@ -280,6 +281,8 @@ def cmd_limit(args) -> int:
         rep["target"] = 0.25
         print(json.dumps(rep, indent=2))
         return EXIT_OK if abs(rep["density"] - 0.25) < 0.1 * 0.25 + 3 * rep["stderr"] else 1
+    if args.config is None:
+        raise ConfigError("limit density needs --config")
     cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed)
     spec = DiffusionSpec.from_measure(cfg.filtration, cfg.measure,
                                       n_time_steps=int(cfg.params.get("diffusion_steps", 2048)))

@@ -54,6 +54,15 @@ class ConfigError(Exception):
     """
 
 
+def load_json(path: str) -> Any:
+    """The JSON document in ``path``; a missing or malformed file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigError(f"cannot parse {path}: {e}") from e
+
+
 def canonical_digest(obj: Any) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -178,12 +187,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str, seed_override: Optional[int] = None) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise ConfigError(f"cannot parse config {path}: {e}") from e
-        return cls.from_dict(raw, seed_override)
+        return cls.from_dict(load_json(path), seed_override)
 
 
 CSV_COLUMNS = ["experiment", "N", "M", "estimate", "stderr", "target", "seed", "config_digest"]

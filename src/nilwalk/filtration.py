@@ -144,9 +144,6 @@ class WeightFiltration:
         scaled = tuple(v * r ** self.weights[j] for j, v in enumerate(c))
         return self.from_adapted(scaled)
 
-    def dilation_determinant(self, r: Fraction) -> Fraction:
-        return Fraction(r) ** self.hom_dim
-
     # -- graded structure ------------------------------------------------------
 
     def graded_bracket(self, x: Sequence, y: Sequence) -> ExactVector:
@@ -335,11 +332,6 @@ class ExtendedAlgebra:
         if self.is_trivial:
             return v
         return v[:-1]
-
-    def chi_coordinate(self, x: Sequence) -> Fraction:
-        if self.is_trivial:
-            return Fraction(0)
-        return fracvec(x)[-1]
 
     def bch_exact(self, x: Sequence, y: Sequence) -> ExactVector:
         return self.algebra.bch_exact(fracvec(x), fracvec(y))

@@ -75,11 +75,6 @@ def empirical_char_many(cfg: WalkConfig, xis: Sequence[FrequencyPoint]) -> Plan:
                 finish)
 
 
-def empirical_char(cfg: WalkConfig, xi: FrequencyPoint) -> tuple[complex, float]:
-    rep = empirical_char_many(cfg, [xi])
-    return complex(rep["estimates"][0]), rep["stderr"]
-
-
 def log_frequency_grid(filtration: WeightFiltration, per_layer: int = 4,
                        lo: float = 0.01, hi: float = 2.0) -> list[FrequencyPoint]:
     """Log-spaced frequencies along each layer's first dual direction,

@@ -19,7 +19,7 @@ Everything here works in adapted coordinates of the filtration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -168,53 +168,3 @@ def kde_density(samples: np.ndarray, point: Sequence[float],
     se = float(kernel.std(ddof=1) / math.sqrt(n))
     return {"density": est, "stderr": se, "bandwidth": h.tolist(), "n": n}
 
-
-def gaussian_envelope_check(filtration: WeightFiltration, samples: np.ndarray,
-                            n_grid: int = 64, seed: int = 99,
-                            zero_tol: float = 1e-6) -> dict:
-    """Fit -log density against the squared homogeneous norm on a radial grid.
-
-    The homogeneous norm is max_b ||x^(b)||^(1/b) in adapted coordinates.
-    Reports the least-squares slope, the pointwise slope band, and flags
-    grid points with vanishing density estimate inside the sampled bulk
-    (a sign the limit law's support is a proper subset).  The grid stays
-    within 70 percent of the bulk radius so that a full-support law with
-    Gaussian-type tails cannot trip the flag through tail starvation.
-    """
-    wf = filtration
-    rng = np.random.default_rng(seed)
-    n, d = samples.shape
-    # radial grid: random directions scaled to fractions of the bulk radius
-    def hom_norm(x):
-        out = np.zeros(x.shape[0])
-        for b in range(1, wf.max_weight + 1):
-            idx = wf.layer_indices(b)
-            if idx:
-                out = np.maximum(out, np.linalg.norm(x[:, idx], axis=1) ** (1.0 / b))
-        return out
-
-    radii = np.quantile(hom_norm(samples), 0.85)
-    dirs = rng.standard_normal((n_grid, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    scales = np.linspace(0.1, 0.7, 8)
-    pts = (scales[:, None, None] * radii * dirs[None, :, :]).reshape(-1, d)
-
-    h = scott_bandwidth(samples)
-    dens = np.empty(pts.shape[0])
-    for i, p in enumerate(pts):
-        z = (samples - p) / h
-        dens[i] = np.exp(-0.5 * (z**2).sum(axis=1)).mean() / ((2 * np.pi) ** (d / 2) * h.prod())
-    r2 = hom_norm(pts) ** 2
-    positive = dens > zero_tol * dens.max()
-    flagged = int((~positive).sum())
-    r2p, logd = r2[positive], -np.log(dens[positive])
-    slope, intercept = np.polyfit(r2p, logd, 1)
-    point_slopes = (logd - intercept) / np.maximum(r2p, 1e-9)
-    return {
-        "slope": float(slope),
-        "intercept": float(intercept),
-        "slope_band": [float(point_slopes.min()), float(point_slopes.max())],
-        "n_grid_points": int(pts.shape[0]),
-        "n_zero_density": flagged,
-        "support_flag": flagged > 0,
-    }

@@ -305,30 +305,6 @@ class AffineImage(Measure):
         return self.base.char_original(inner) * np.exp(-2j * np.pi * (freqs @ self.shift))
 
 
-# -- empirical self-check ------------------------------------------------------
-
-
-def self_check_moments(measure: Measure, n_samples: int = 1_000_000, seed: int = 0,
-                       sigmas: float = 4.0) -> dict:
-    """Compare declared mean against the empirical mean of a fresh sample.
-
-    Returns a report dict; 'ok' is True when every coordinate agrees within
-    ``sigmas`` standard errors.
-    """
-    rng = np.random.default_rng(seed)
-    xs = measure.sample(rng, n_samples)
-    emp = xs.mean(axis=0)
-    se = xs.std(axis=0, ddof=1) / math.sqrt(n_samples) + 1e-300
-    declared = measure.mean_float()
-    dev = np.abs(emp - declared) / se
-    return {
-        "declared_mean": declared.tolist(),
-        "empirical_mean": emp.tolist(),
-        "max_sigma_deviation": float(dev.max()),
-        "ok": bool((dev <= sigmas).all()),
-    }
-
-
 # -- truncation -----------------------------------------------------------------
 
 
@@ -389,10 +365,6 @@ class TruncatedMeasure:
                 t = ~bads[2][1] if 2 in bads else np.ones(coords.shape[0], dtype=bool)
                 out[np.ix_(bad, idx)] = t[bad, None] * drift + self.c_vector_adapted
         return out, altered
-
-    def apply_map_adapted(self, coords: np.ndarray) -> np.ndarray:
-        """The clipping map on (M, dim) adapted coordinates (vectorized, pure)."""
-        return self.clip(coords)[0]
 
     def altered_fraction(self, rng, size) -> float:
         raw = self.filtration.to_adapted_float(self.base.sample(rng, size))

@@ -23,10 +23,6 @@ def fracvec(v: Iterable) -> Vector:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in v)
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def is_zero_vec(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 

@@ -41,7 +41,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -278,24 +278,6 @@ def experiment(build: Callable[..., Plan]) -> Callable:
     return run
 
 
-@experiment
-def _chunks(cfg: WalkConfig, truncs: Optional[Sequence[TruncatedMeasure]] = None) -> Plan:
-    """Every chunk's (products, clipped increments), unreduced (small M only)."""
-    return Plan(cfg, lambda s, clipped: (s.copy(), clipped), list, truncs)
-
-
-def product_stream(cfg: WalkConfig) -> Iterator[np.ndarray]:
-    """Chunks of recentered product samples in adapted coordinates (small M only)."""
-    for s, _ in _chunks(cfg):
-        yield s
-
-
-def run_products(cfg: WalkConfig) -> np.ndarray:
-    """All recentered product samples, original coordinates (small M only)."""
-    chunks = [cfg.filtration.from_adapted_float(c) for c in product_stream(cfg)]
-    return np.concatenate(chunks, axis=0)
-
-
 # -- gradual truncation ----------------------------------------------------------------
 
 
@@ -351,67 +333,7 @@ def gradual_truncation(cfg: WalkConfig, gamma0: float) -> list[TruncatedMeasure]
     return truncs
 
 
-def gradual_truncation_stream(cfg: WalkConfig, gamma0: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Chunks of (samples, altered counts) for the gradually truncated walk.
-
-    Runs on the plain walk's fold engine, with each step's increment
-    clipped by the lifted truncation of its schedule level.  Samples are in
-    adapted base coordinates (projecting back from the drift extension is a
-    no-op on the base part), recentered like the plain walk's; each chunk
-    also reports how many increments the clip changed.  With a compactly
-    supported law and N past the squared support radius the two streams
-    coincide, bit for bit.
-    """
-    for s, clipped in _chunks(cfg, gradual_truncation(cfg, gamma0)):
-        yield s, np.array([clipped])
-
-
 # -- deviation sets -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeviationSpec:
-    """Moderate-deviation boxes used to pick translation points.
-
-    kind 'polynomial': ||x^(i)|| <= N^(i/2 + slack/s) per layer.
-    kind 'polynomial-drift': ||x^(i)|| <= N^(i/2 + slack) per layer, up to
-        sliding along the drift direction by |t| <= N^(1 + slack).
-    kind 'loglaw': ||x^(i)|| <= slack * (N log N)^(i/2).
-    """
-
-    kind: str
-    slack: float
-
-    def contains(self, filtration: WeightFiltration, n_steps: int, x: Sequence[float],
-                 adapted: bool = False) -> bool:
-        wf = filtration
-        c = np.asarray(x, dtype=float)
-        if not adapted:
-            c = wf.to_adapted_float(c)
-        if self.kind == "polynomial-drift":
-            x_mu = wf.to_adapted_float(np.array([float(v) for v in wf.drift_in_supplement]))
-            nrm2 = float(x_mu @ x_mu)
-            if nrm2 > 0:
-                t = float(c @ x_mu) / nrm2
-                bound = n_steps ** (1.0 + self.slack)
-                t = min(max(t, -bound), bound)
-                c = c - t * x_mu
-        for b in range(1, wf.max_weight + 1):
-            idx = wf.layer_indices(b)
-            if not idx:
-                continue
-            norm = float(np.linalg.norm(c[idx]))
-            if self.kind == "polynomial":
-                ok = norm <= n_steps ** (b / 2.0 + self.slack / wf.algebra.step)
-            elif self.kind == "polynomial-drift":
-                ok = norm <= n_steps ** (b / 2.0 + self.slack)
-            elif self.kind == "loglaw":
-                ok = norm <= self.slack * (n_steps * math.log(n_steps)) ** (b / 2.0)
-            else:
-                raise ValueError(f"unknown deviation kind {self.kind!r}")
-            if not ok:
-                return False
-        return True
 
 
 def loglaw_boundary_point(filtration: WeightFiltration, n_steps: int, c: float,

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import sys
@@ -218,6 +219,46 @@ def test_a_grid_walk_gives_the_rows_of_its_one_n_walks(tmp_path, monkeypatch, al
             assert rows(cfg | {"N_grid": grid}, workers) == alone, (recenter, workers)
 
 
+# SHA-256 of each walk mode's CSV body (the lines after the '#' timestamp) on
+# the GRID_WALKS configs with mean recentering, seed 47, M = 1500 in chunks of
+# 700 rows and N_grid [6, 3], recorded before the small-M stream helpers of
+# walks were deleted
+WALK_DIGESTS = {
+    "heisenberg3": {
+        "llt": "0a45a6eff1ef3c536b207b9bfdbd0e849c3752d3602d25b607f2f30aac717de7",
+        "clt": "f670f070dd7bbe599c1d3f25c5940ba83f5318dbe129742ef80a39531f79a286",
+        "ratio": "9ab87aaed3f9f96ca245cb0cf4121b13c7d85275821a98a5bcb93ba813ae175a",
+        "pixel": "a71e7649ce9e333a9ca8ed717d8c10ab801afce460ef5cbbbfc28cb377a248a7",
+        "theta": "8ed7704fe752f883ea486be38d17030b2a1b29c9fffabd91c5d0a9aa755da28c",
+    },
+    "free-nilpotent(2,3)+e1": {
+        "llt": "a19144c0d89b23b532d3fe61e1b2d9d5422400e5c7b6c0d9f70c44d183e7e34d",
+        "clt": "1daf2e9ab072af73225b442fe6193cc2729c114c19a3604459ad669f44cff822",
+        "ratio": "559bcba8c1d7621fef58a76919cd026c037dd512fd065638327a99d8a81e7cc8",
+        "pixel": "ca6b7af8f2c51bdd5e7ca8caf0dd63cb17d3fc7b7ff31d699baa37938cbca7a2",
+        "theta": "30e1daa8d649e231fc3d44fdbfd670ae0a6ac5fd959d818446a7848d1e1404da",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", list(WALK_MODES))
+@pytest.mark.parametrize("algebra", list(GRID_WALKS))
+def test_walk_csv_bodies_are_pinned(tmp_path, monkeypatch, algebra, mode):
+    from nilwalk import cli
+
+    monkeypatch.setattr(cli, "WalkConfig", functools.partial(walks.WalkConfig, chunk_size=700))
+    base = GRID_WALKS[algebra]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base | {"seed": 47, "M": 1_500, "N_grid": [6, 3], "params": (
+        base["params"] | {"recenter": "mean", "diffusion_steps": 8, "nu_samples": 2_000})}))
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}.csv"
+        assert main(["--workers", workers, "walk", mode, "--config", str(path),
+                     "--out", str(out)]) == 0
+        body = out.read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(body).hexdigest() == WALK_DIGESTS[algebra][mode], workers
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_is_a_parse_error(heis_config, workers, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -424,6 +465,21 @@ def test_walk_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["walk", "llt", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["algebra", "check", "--file"],
+    ["filtration", "compute", "--drift", "1,0,0", "--algebra"],
+    ["walk", "llt", "--config"],
+])
+def test_missing_input_file_is_a_parse_error(tmp_path, command, capsys):
+    assert main(command + [str(tmp_path / "missing.json")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_limit_density_without_config_is_a_parse_error(capsys):
+    assert main(["limit", "density"]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_walk_validation_error(tmp_path):

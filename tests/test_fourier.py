@@ -11,7 +11,6 @@ from nilwalk.fourier import (
     GaussianBump,
     PiecewiseLinear,
     band_limited_sandwich,
-    empirical_char,
     empirical_char_many,
     log_frequency_grid,
     normalized_kernel,
@@ -32,13 +31,14 @@ def line_cfg():
 
 
 def test_char_at_zero_is_one(line_cfg):
-    est, _ = empirical_char(line_cfg, FrequencyPoint((0.0,)))
-    assert est == 1.0 + 0j
+    rep = empirical_char_many(line_cfg, [FrequencyPoint((0.0,))])
+    assert rep["estimates"][0] == 1.0 + 0j
 
 
 def test_char_gaussian_single_step(line_cfg):
     xi = 0.4
-    est, se = empirical_char(line_cfg, FrequencyPoint((xi,)))
+    rep = empirical_char_many(line_cfg, [FrequencyPoint((xi,))])
+    est, se = rep["estimates"][0], rep["stderr"]
     target = math.exp(-2 * math.pi**2 * xi**2)
     assert abs(est - target) < 4 * se
     assert abs(est.imag) < 4 * se

@@ -11,7 +11,6 @@ from nilwalk.algebra import abelian, filiform4, free_nilpotent, heisenberg3
 from nilwalk.filtration import WeightFiltration
 from nilwalk.limitlaw import (
     DiffusionSpec,
-    gaussian_envelope_check,
     kde_density,
     levy_area_reference,
     measure_moments_adapted,
@@ -185,32 +184,6 @@ def test_dilation_self_similarity(heis_centered, heis_spec, heis_limit_samples):
     critical = 1.63 * math.sqrt(2 / 100_000)
     for j in range(3):
         assert ks_2samp(a[:, j], b[:, j]).statistic < critical
-
-
-def test_envelope_abelian_slope(plane):
-    wf, mu = plane
-    spec = DiffusionSpec.from_measure(wf, mu, n_time_steps=128)
-    zs = simulate_limit(spec, np.random.default_rng(2), 80_000)
-    rep = gaussian_envelope_check(wf, zs)
-    assert rep["slope_band"][0] < 0.5 < rep["slope_band"][1]
-    assert 0.3 < rep["slope"] < 0.7
-    assert not rep["support_flag"]
-
-
-def test_envelope_heisenberg_finite_band(heis_centered, heis_limit_samples):
-    rep = gaussian_envelope_check(heis_centered, heis_limit_samples)
-    assert rep["slope"] > 0.0
-    assert not rep["support_flag"]
-
-
-def test_envelope_flags_proper_support(heis_centered):
-    # synthetic law concentrated on a half space: the estimated density
-    # vanishes on an open set inside the bulk and the diagnostic fires
-    rng = np.random.default_rng(5)
-    zs = rng.standard_normal((50_000, 3))
-    zs[:, 0] = np.abs(zs[:, 0]) + 0.5
-    rep = gaussian_envelope_check(heis_centered, zs)
-    assert rep["support_flag"]
 
 
 # SHA-256 of simulate_limit's bytes at 1000 samples, 16 time steps, passes of

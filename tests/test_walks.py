@@ -15,21 +15,32 @@ from nilwalk.measures import (
     Uniform1D,
 )
 from nilwalk.walks import (
-    DeviationSpec,
     ExperimentResult,
+    Plan,
     WalkConfig,
     clt_experiment,
     drift_vector_adapted,
-    gradual_truncation_stream,
+    gradual_truncation,
+    job_pool,
     llt_box_experiment,
     loglaw_boundary_point,
     pixel_experiment,
-    product_stream,
     ratio_experiment,
-    run_products,
+    run_plans,
     theta_experiment,
     truncation_schedule,
 )
+
+
+def walk_products(cfg: WalkConfig, gamma0=None) -> tuple[np.ndarray, list[int]]:
+    """The fold engine's recentered products in adapted coordinates, and each
+    chunk's count of clipped increments; theta's clip schedule when ``gamma0``
+    is given."""
+    truncs = None if gamma0 is None else gradual_truncation(cfg, gamma0)
+    plan = Plan(cfg, lambda s, clipped: (s.copy(), clipped), list, truncs)
+    with job_pool(cfg.workers) as pool:
+        chunks = run_plans([plan], pool)[0]
+    return np.concatenate([s for s, _ in chunks], axis=0), [n for _, n in chunks]
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +70,7 @@ def test_single_step_walk_is_the_measure(heis_centered):
     h = heis_centered.algebra
     atoms = AtomicMeasure(h, [(1, 0, 0), (-1, 0, 0)], [F(1, 2), F(1, 2)])
     cfg = WalkConfig(heis_centered, atoms, 1, 5_000, seed=0)
-    xs = run_products(cfg)
+    xs = heis_centered.from_adapted_float(walk_products(cfg)[0])
     vals = set(map(tuple, np.round(xs, 12)))
     assert vals == {(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)}
 
@@ -69,7 +80,7 @@ def test_abelian_law_of_large_numbers():
     wf = WeightFiltration(a, [F(1, 2), 0])
     mu = ProductMeasure(a, [Gaussian1D(0.5, 1.0), Gaussian1D(0.0, 1.0)])
     cfg = WalkConfig(wf, mu, 100, 20_000, seed=1)
-    xs = run_products(cfg)
+    xs = wf.from_adapted_float(walk_products(cfg)[0])
     se = 10.0 / math.sqrt(20_000)  # per-sample std is sqrt(N)
     assert abs(xs[:, 0].mean() - 50.0) < 4 * se
     assert abs(xs[:, 1].mean()) < 4 * se
@@ -81,7 +92,7 @@ def test_symmetric_heisenberg_third_coordinate_centered(heis_centered):
         h, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], [F(1, 4)] * 4
     )
     cfg = WalkConfig(heis_centered, mix, 32, 50_000, seed=2)
-    xs = run_products(cfg)
+    xs = heis_centered.from_adapted_float(walk_products(cfg)[0])
     se = xs[:, 2].std() / math.sqrt(len(xs))
     assert abs(xs[:, 2].mean()) < 4 * se
 
@@ -90,7 +101,7 @@ def test_mean_recentering_kills_abelianized_mean(heis):
     wf = WeightFiltration(heis, [F(7, 10), F(-1, 5), 0])
     mu = ProductMeasure(heis, [Gaussian1D(0.7), Gaussian1D(-0.2), Dirac1D(0.0)])
     cfg = WalkConfig(wf, mu, 64, 40_000, seed=4, recenter="mean")
-    xs = np.concatenate([c for c in product_stream(cfg)], axis=0)
+    xs, _ = walk_products(cfg)
     idx1 = wf.layer_indices(1)
     for j in idx1:
         se = xs[:, j].std() / math.sqrt(len(xs))
@@ -120,18 +131,14 @@ def test_theta_equals_plain_walk_for_compact_support(heis_centered):
     h = heis_centered.algebra
     mu = AtomicMeasure(h, [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)], [F(1, 4)] * 4)
     cfg = WalkConfig(heis_centered, mu, 25, 4_000, seed=9, chunk_size=1_500)
-    plain = np.concatenate(list(product_stream(cfg)), axis=0)
-    theta = np.concatenate([s for s, _ in gradual_truncation_stream(cfg, 0.25)], axis=0)
-    assert np.array_equal(plain, theta)
+    assert np.array_equal(walk_products(cfg)[0], walk_products(cfg, 0.25)[0])
 
 
 def test_theta_with_drift_matches_plain_for_compact_support(heis):
     wf = WeightFiltration(heis, [1, 0, 0])
     mu = AtomicMeasure(heis, [(1, 1, 0), (1, -1, 0), (1, 0, 1)], [F(1, 3)] * 3)
     cfg = WalkConfig(wf, mu, 30, 2_000, seed=13)
-    plain = np.concatenate(list(product_stream(cfg)), axis=0)
-    theta = np.concatenate([s for s, _ in gradual_truncation_stream(cfg, 0.2)], axis=0)
-    assert np.array_equal(plain, theta)
+    assert np.array_equal(walk_products(cfg)[0], walk_products(cfg, 0.2)[0])
 
 
 def test_theta_runs_on_the_plain_engine_with_recentering_and_workers(heis):
@@ -141,10 +148,10 @@ def test_theta_runs_on_the_plain_engine_with_recentering_and_workers(heis):
     wf = WeightFiltration(heis, [1, 0, 0])
     mu = AtomicMeasure(heis, [(1, 1, 0), (1, -1, 0), (1, 0, 1)], [F(1, 3)] * 3)
     cfg = WalkConfig(wf, mu, 30, 2_000, seed=13, recenter="mean", chunk_size=700, workers=2)
-    plain = np.concatenate(list(product_stream(cfg)), axis=0)
-    chunks = list(gradual_truncation_stream(cfg, 0.2))
-    assert len(chunks) == 3 and all(int(n[0]) == 0 for _, n in chunks)
-    assert np.array_equal(plain, np.concatenate([s for s, _ in chunks], axis=0))
+    plain, _ = walk_products(cfg)
+    theta, clipped = walk_products(cfg, 0.2)
+    assert clipped == [0, 0, 0]
+    assert np.array_equal(plain, theta)
 
 
 def test_theta_moments_equal_plain_walk_on_non_identity_basis():
@@ -173,34 +180,23 @@ def test_theta_altered_fraction_decays(heis_centered, heis_gauss):
     assert fracs[0] >= fracs[1] >= fracs[2]
 
 
-# -- deviation boxes -----------------------------------------------------------------
+# -- deviation sets -----------------------------------------------------------------
 
 
-def test_deviation_membership(heis_centered):
-    spec = DeviationSpec("polynomial", 0.1)
-    n = 100
-    inside = [5.0, 5.0, 40.0]  # layer norms ~ sqrt(N), N
-    outside = [30.0, 0.0, 0.0]
-    assert spec.contains(heis_centered, n, inside)
-    assert not spec.contains(heis_centered, n, outside)
-    log_spec = DeviationSpec("loglaw", 0.05)
-    pt = loglaw_boundary_point(heis_centered, n, 0.05)
-    assert log_spec.contains(heis_centered, n, 1.0000001 * np.asarray(pt)) is False
-    assert log_spec.contains(heis_centered, n, 0.999 * np.asarray(pt))
-
-
-def test_deviation_drift_interval(heis):
-    wf = WeightFiltration(heis, [1, 0, 0])
-    spec = DeviationSpec("polynomial-drift", 0.05)
-    n = 64
-    # the sliding interval along the drift has length N^(1+slack) ~ 79,
-    # far beyond the plain layer bound N^(1/2+slack) ~ 9.9
-    x = np.array([75.0, 0.0, 0.0])
-    assert spec.contains(wf, n, x)
-    assert not spec.contains(wf, n, np.array([120.0, 0.0, 0.0]))
-    # the slide does not help off the drift line
-    y = np.array([0.0, 30.0, 0.0])
-    assert not spec.contains(wf, n, y)
+@pytest.mark.parametrize("layers", [None, [1, 4], [5]])
+def test_loglaw_boundary_point_lies_on_each_requested_layer(layers):
+    """The point sits on each requested layer's first adapted direction.
+    free-nilpotent(2,3) with drift e1: weights (1, 1, 3, 4, 5), an empty layer
+    2 and an adapted basis that is not the identity."""
+    wf = WeightFiltration(free_nilpotent(2, 3), [1, 0, 0, 0, 0])
+    n, c = 256, 0.05
+    x = wf.to_adapted_float(loglaw_boundary_point(wf, n, c, layers))
+    wanted = [b for b in (layers or range(1, wf.max_weight + 1)) if wf.layer_indices(b)]
+    for b in wanted:
+        norm = float(np.linalg.norm(x[wf.layer_indices(b)]))
+        assert math.isclose(norm, c * (n * math.log(n)) ** (b / 2), rel_tol=1e-12)
+    rest = [j for j in range(wf.algebra.dim) if j not in {wf.layer_indices(b)[0] for b in wanted}]
+    assert np.allclose(x[rest], 0.0, rtol=0.0, atol=1e-12)
 
 
 # -- experiment wrappers ----------------------------------------------------------------
@@ -251,7 +247,7 @@ def test_ratio_consistent_at_identity(heis_centered, heis_gauss):
     # the ratio then has to be compatible with 1
     cfg_num = WalkConfig(heis_centered, heis_gauss, 64, 60_000, seed=8)
     cfg_den = WalkConfig(heis_centered, heis_gauss, 64, 60_000, seed=1008)
-    den = np.concatenate(list(product_stream(cfg_den)), axis=0)
+    den, _ = walk_products(cfg_den)
     scale = np.power(64.0, -heis_centered.weights_array / 2.0)
     res = ratio_experiment(cfg_num, [(-2.0, 2.0), (-2.0, 2.0), (-4.0, 4.0)],
                            den * scale)
