@@ -11,7 +11,10 @@ acceptance criterion 1, nilmanifold the Cesaro walk on H(R)/H(Z) at three
 (replicas, steps) shapes (seconds per call, and peak RSS), and walk one
 `nilwalk walk` command per case (wall and CPU seconds, and peak RSS): llt
 and ratio at the sizes of the benchmark's heis-llt workload on two
-workers, llt on a three-N grid, and clt at those of deep-clt on one.
+workers, llt on a three-N grid, clt and theta at those of deep-clt on one,
+and clt on free-nilpotent(2,3) with drift e1 and Gaussian factors at
+M = 1M, N = 24 on one worker and on two (a permutation adapted basis, whose
+basis change once ran a threaded BLAS matmul beside the workers).
 Every case runs in a fresh process on each tree, in PAIRS pairs that
 alternate which tree runs first.  The change is the checkout holding this
 script; --parent names the src directory to compare it with (default:
@@ -63,16 +66,24 @@ def heis_walk(m, box, grid=(16, 32)):
                        "nu_samples": 100_000}}
 
 
+DEEP_WALK = {"algebra": "free-nilpotent(2,3)", "drift": [1, 0, 0, 0, 0],
+             "measure": {"kind": "product", "factors": [
+                 {"kind": "uniform", "lo": 0.5, "hi": 1.5}]
+                 + [{"kind": "uniform", "lo": -1.0, "hi": 1.0}] * 4},
+             "seed": 922, "M": 24_000, "N": 64, "params": {"recenter": "none"}}
+GAUSS_WALK = DEEP_WALK | {"measure": {"kind": "product", "factors": [
+    {"kind": "gaussian", "mean": 1.0}] + [{"kind": "gaussian"}] * 4},
+    "M": 1_000_000, "N": 24}
+
 # case -> (--workers, walk mode, config)
 WALK_CASES = {
     "llt": (2, "llt", heis_walk(500_000, [-2.0, 2.0])),
     "ratio": (2, "ratio", heis_walk(250_000, [-3.0, 3.0])),
     "llt-grid": (2, "llt", heis_walk(500_000, [-2.0, 2.0], grid=(8, 16, 32))),
-    "clt": (1, "clt", {"algebra": "free-nilpotent(2,3)", "drift": [1, 0, 0, 0, 0],
-                       "measure": {"kind": "product", "factors": [
-                           {"kind": "uniform", "lo": 0.5, "hi": 1.5}]
-                           + [{"kind": "uniform", "lo": -1.0, "hi": 1.0}] * 4},
-                       "seed": 922, "M": 24_000, "N": 64, "params": {"recenter": "none"}}),
+    "clt": (1, "clt", DEEP_WALK),
+    "theta": (1, "theta", DEEP_WALK | {"params": {"recenter": "none", "gamma0": 0.2}}),
+    "clt-gauss": (1, "clt", GAUSS_WALK),
+    "clt-gauss-2w": (2, "clt", GAUSS_WALK),
 }
 
 

@@ -75,6 +75,11 @@ class WeightFiltration:
         self.weights_array = np.array(self.weights, dtype=float)
         self._identity_basis = all(c == (i == j) for i, row in enumerate(self.adapted_rows)
                                    for j, c in enumerate(row))
+        # every builtin's basis is a permutation (echelon-pivot supplements of coordinate
+        # ideals are basis vectors); then x @ adapted_inv_array is x[..., adapted_perm]
+        perm = self._A.argmax(axis=1)
+        is_perm = not self._identity_basis and np.array_equal(self._A, np.eye(d)[perm])
+        self.adapted_perm, self._from_perm = (perm, np.argsort(perm)) if is_perm else (None, None)
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -122,13 +127,22 @@ class WeightFiltration:
     # -- float coordinate changes -----------------------------------------
 
     def to_adapted_float(self, x: np.ndarray) -> np.ndarray:
-        """Adapted coordinates; the input itself when the basis is the identity."""
-        x = np.asarray(x, dtype=float)
-        return x if self._identity_basis else x @ self.adapted_inv_array
+        """Adapted coordinates, ``x @ adapted_inv_array``: a gather of columns
+        on a permutation basis, with the same bits, and C-contiguous either
+        way; the input itself when the basis is the identity."""
+        return self._change(x, self.adapted_perm, self.adapted_inv_array)
 
     def from_adapted_float(self, c: np.ndarray) -> np.ndarray:
-        c = np.asarray(c, dtype=float)
-        return c if self._identity_basis else c @ self._A
+        """Original coordinates, ``c @ A`` for the adapted rows A, in the
+        layout and by the gather of ``to_adapted_float``."""
+        return self._change(c, self._from_perm, self._A)
+
+    def _change(self, x, perm, matrix) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if self._identity_basis:
+            return x
+        # np.take, not x[..., perm], whose result keeps an F-ordered input's layout
+        return x @ matrix if perm is None else np.take(x, perm, axis=-1)
 
     def layer_mask(self, i: int) -> np.ndarray:
         return self.weights_array == i

@@ -22,6 +22,7 @@ output.  The scan cannot prove aperiodicity, only flag violations.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -336,10 +337,11 @@ class TruncatedMeasure:
         wf = self.filtration
         coords = np.asarray(coords, dtype=float)
         drift = self.drift_layer1
-        bads: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # layer -> (indices, exceeded)
+        bads: dict[int, tuple[slice, np.ndarray]] = {}  # layer -> (columns, exceeded)
         for b in range(1, wf.max_weight + 1):
-            idx = np.flatnonzero(wf.layer_mask(b))
-            if idx.size == 0:
+            # adapted weights never decrease, so a layer is a slice: a view, not a copy
+            idx = slice(bisect_left(wf.weights, b), bisect_right(wf.weights, b))
+            if idx.start == idx.stop:
                 continue  # an empty layer 2 gives sqrt(t^2) = 1, never above the level
             block = coords[:, idx]
             if b == 1 and drift is not None:
@@ -358,12 +360,12 @@ class TruncatedMeasure:
         for b, (idx, bad) in bads.items():
             altered |= bad
             if b > 1:
-                out[np.ix_(bad, idx)] = 0.0
+                out[bad, idx] = 0.0
             elif drift is None:
-                out[np.ix_(bad, idx)] = self.c_vector_adapted
+                out[bad, idx] = self.c_vector_adapted
             else:
                 t = ~bads[2][1] if 2 in bads else np.ones(coords.shape[0], dtype=bool)
-                out[np.ix_(bad, idx)] = t[bad, None] * drift + self.c_vector_adapted
+                out[bad, idx] = t[bad, None] * drift + self.c_vector_adapted
         return out, altered
 
     def altered_fraction(self, rng, size) -> float:

@@ -208,16 +208,25 @@ def _fold_job(plans: Sequence[Plan], m: int, rng: np.random.Generator) -> list[t
     """Each plan's (reduced partial, busy seconds) from one chunk folded on
     its own stream.  The plans differ only in N and recentering and come in
     N order: the fold runs to the last N, and a plan reduces as the fold
-    passes its N.  Its seconds are its own fold segment and its reduce."""
+    passes its N.  Its seconds are its own fold segment and its reduce.
+
+    On a permutation basis the draws' rows are gathered into a second
+    (dim, m) buffer and reach the product coordinate-major; any other
+    non-identity basis takes ``to_adapted_float``'s C-contiguous matmul."""
     t0 = time.perf_counter()
     cfg, wf, truncs = plans[0].cfg, plans[0].cfg.filtration, plans[0].truncs
     product = wf.adapted_algebra.product_map()
+    perm = wf.adapted_perm
     buf = np.empty((wf.algebra.dim, m))  # one row per coordinate: the draws land in place
+    rows = None if perm is None else np.empty_like(buf)
     s = np.zeros((wf.algebra.dim, m))  # the products, coordinate-major, folded in place
     clipped, k, done = 0, 0, []
     for plan in plans:
         while k < plan.cfg.n_steps:
-            x = wf.to_adapted_float(cfg.measure.sample(rng, m, out=buf.T))
+            x = cfg.measure.sample(rng, m, out=buf.T)
+            # mode="clip" lets take write into rows without a buffered copy
+            x = wf.to_adapted_float(x) if perm is None else \
+                np.take(buf, perm, axis=0, out=rows, mode="clip").T
             if truncs is not None:
                 x, altered = truncs[k].clip(x)
                 clipped += int(altered.sum())

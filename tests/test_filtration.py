@@ -407,3 +407,50 @@ def test_float_basis_change_skipped_only_for_identity_basis():
     ad = drifted.to_adapted_float(x)
     assert ad is not x and np.array_equal(ad, x @ drifted.adapted_inv_array)
     assert np.allclose(drifted.from_adapted_float(ad), x, atol=1e-12)
+
+
+BUILTINS = ["heisenberg3", "filiform4", "abelian(3)", "free-nilpotent(2,2)",
+            "free-nilpotent(2,3)", "free-nilpotent(2,4)", "free-nilpotent(3,2)",
+            "free-nilpotent(3,3)"]
+
+
+def _assert_matmul_bits(wf, x):
+    """Both float basis changes give the matmul's bits, C-contiguous, on
+    row-major and coordinate-major input alike."""
+    A = np.array(wf.adapted_rows, dtype=float)
+    for arr in (np.ascontiguousarray(x), np.asfortranarray(x), x[0]):
+        ad = wf.to_adapted_float(arr)
+        assert ad.flags.c_contiguous
+        assert ad.tobytes() == (arr @ wf.adapted_inv_array).tobytes()
+        back = wf.from_adapted_float(arr)
+        assert back.flags.c_contiguous
+        assert back.tobytes() == (arr @ A).tobytes()
+
+
+def test_permutation_basis_change_is_the_matmul_bit_for_bit():
+    """Every non-identity adapted basis of a builtin, over the basis-vector
+    drifts, is a permutation, changed by a gather with the matmul's bits."""
+    changed = []
+    for name in BUILTINS:
+        alg = builtin_algebra(name)
+        x = np.random.default_rng(7).standard_normal((9, alg.dim))
+        for i in range(alg.dim):
+            wf = WeightFiltration(alg, alg.basis_vector(i))
+            if wf.to_adapted_float(x) is x:
+                continue  # the identity basis
+            assert wf.adapted_perm is not None, (name, i)
+            _assert_matmul_bits(wf, x)
+            changed.append((name, i))
+    assert changed == [("free-nilpotent(2,3)", 0), ("free-nilpotent(2,4)", 0),
+                       ("free-nilpotent(3,2)", 0), ("free-nilpotent(3,2)", 1),
+                       ("free-nilpotent(3,3)", 0), ("free-nilpotent(3,3)", 1),
+                       ("free-nilpotent(3,3)", 2)]
+
+
+def test_general_basis_keeps_the_matmul():
+    """[e1, e2] = e3 + e4: the supplement of the centre holds e3 + e4, and
+    the inverse basis has a -1, so no gather can change it."""
+    alg = NilpotentAlgebra(4, 2, {(0, 1): {2: F(1), 3: F(1)}})
+    wf = WeightFiltration(alg, [0, 0, 0, 0])
+    assert wf.adapted_perm is None and -1.0 in wf.adapted_inv_array
+    _assert_matmul_bits(wf, np.random.default_rng(8).standard_normal((9, 4)))

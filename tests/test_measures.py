@@ -292,3 +292,31 @@ def test_affine_image_char_and_sampling(heis):
     by_hand = 0.5 * np.exp(-2j * np.pi * 0.25 * 2.5) + 0.5 * np.exp(-2j * np.pi * 0.25 * 0.5)
     assert np.allclose(img.char_original(freqs), by_hand)
     assert np.allclose(img.mean_float(), [1.5, 0.5, 0.0])
+
+
+def test_clip_is_the_same_on_coordinate_major_rows():
+    """The fold hands clip coordinate-major increments on identity and
+    permutation bases, and row-major ones on a general basis: both layouts
+    give the same rows and mask.  free-nilpotent(2,3) with drift e1 has
+    weights (1, 1, 3, 4, 5); level 4 puts the radii at 2, 8, 16 and 32."""
+    alg = free_nilpotent(2, 3)
+    wf = WeightFiltration(alg, [1, 0, 0, 0, 0])
+    assert wf.weights == (1, 1, 3, 4, 5)
+    drift = np.array([1.0, 0.0])
+    tm = TruncatedMeasure(ProductMeasure(alg, [Dirac1D()] * alg.dim), wf, 4,
+                          np.array([0.25, -0.5]), drift_layer1=drift)
+    rows = np.random.default_rng(11).uniform(-0.5, 0.5, (12, alg.dim))
+    rows[1, :2] = [4.0, 0.5]   # layer 1
+    rows[4, 2] = 9.0           # weight 3
+    rows[6, 3] = -17.0         # weight 4
+    rows[7, 4] = 33.0          # weight 5
+    rows[9] = [3.5, 0.0, 8.5, 0.0, 40.0]  # layers 1, 3 and 5
+    coordinate_major = np.ascontiguousarray(rows.T).T
+    out, altered = tm.clip(rows)
+    out_cm, altered_cm = tm.clip(coordinate_major)
+    assert np.flatnonzero(altered).tolist() == [1, 4, 6, 7, 9]
+    assert np.array_equal(altered_cm, altered)
+    assert np.ascontiguousarray(out_cm).tobytes() == out.tobytes()
+
+    quiet = coordinate_major[[0, 2, 3]].T.copy().T
+    assert tm.clip(quiet)[0] is quiet
