@@ -284,11 +284,13 @@ def cmd_limit(args) -> int:
     if args.config is None:
         raise ConfigError("limit density needs --config")
     cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed)
+    point = _parse_coords(args.point) if args.point else [0] * cfg.algebra.dim
+    if len(point) != cfg.algebra.dim:
+        raise ConfigError("--point length must match the algebra dimension")
     spec = DiffusionSpec.from_measure(cfg.filtration, cfg.measure,
                                       n_time_steps=int(cfg.params.get("diffusion_steps", 2048)))
     rng = np.random.default_rng(cfg.seed)
     samples = simulate_limit(spec, rng, cfg.n_replicas)
-    point = _parse_coords(args.point) if args.point else [0] * cfg.algebra.dim
     point_ad = cfg.filtration.to_adapted_float(np.array([float(c) for c in point]))
     rep = kde_density(samples, point_ad, bandwidth_factor=args.bandwidth_factor)
     print(json.dumps(rep, indent=2))

@@ -135,7 +135,7 @@ def parse_measure(spec: dict, algebra: NilpotentAlgebra) -> Measure:
             base = parse_measure(spec["base"], algebra)
             return AffineImage(base, np.array(spec["matrix"], dtype=float),
                                np.array(spec.get("shift", [0.0] * algebra.dim), dtype=float))
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, AttributeError) as e:
         raise ConfigError(f"bad measure structure: {e}") from e
     raise ConfigError(f"unknown measure kind {kind!r}")
 
@@ -162,27 +162,36 @@ class ExperimentConfig:
         algebra = parse_algebra(raw.get("algebra", "heisenberg3"))
         measure = parse_measure(raw.get("measure", {"kind": "gaussian_layers",
                                                     "cov": [1.0] * algebra.dim}), algebra)
-        if "drift" in raw:
-            drift = [Fraction(str(c)) for c in raw["drift"]]
-            if len(drift) != algebra.dim:
-                raise ValueError("drift length must match the algebra dimension")
-        else:
-            mean = measure.mean_float()
-            drift = [Fraction(x).limit_denominator(10**6) for x in mean]
+        params = raw.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("params must be an object")
+        try:
+            if "drift" in raw:
+                drift = [Fraction(str(c)) for c in raw["drift"]]
+            else:
+                drift = [Fraction(x).limit_denominator(10**6) for x in measure.mean_float()]
+            seed = int(raw.get("seed", 0)) if seed_override is None else seed_override
+            if "N_grid" in raw:
+                grid = [int(n) for n in raw["N_grid"]]
+            else:
+                grid = [int(raw.get("N", 64))]
+            m = int(raw.get("M", 10_000))
+            # coordinate inputs broadcast silently when short, so their length is checked
+            coords = {"drift": drift} | {k: params[k] for k in ("Y", "g", "h", "box")
+                                         if k in params}
+            short = [k for k, v in coords.items() if len(v) != algebra.dim]
+        except TypeError as e:
+            raise ConfigError(f"bad config field: {e}") from e
+        if short:
+            raise ValueError(f"{', '.join(short)} length must match the algebra dimension")
         filtration = WeightFiltration(algebra, drift)
-        seed = int(raw.get("seed", 0)) if seed_override is None else seed_override
-        if "N_grid" in raw:
-            grid = [int(n) for n in raw["N_grid"]]
-        else:
-            grid = [int(raw.get("N", 64))]
         if any(n < 1 for n in grid):
             raise ValueError("N values must be positive")
-        m = int(raw.get("M", 10_000))
         if m < 1:
             raise ValueError("M must be positive")
         return cls(
             raw=raw, algebra=algebra, filtration=filtration, measure=measure, seed=seed,
-            n_replicas=m, n_grid=grid, params=dict(raw.get("params", {})),
+            n_replicas=m, n_grid=grid, params=dict(params),
         )
 
     @classmethod

@@ -11,7 +11,7 @@ Truncation at level N clips each weight layer at radius N^(b/2): layers
 b >= 2 are zeroed on the rare event, the first layer is replaced by the
 constant vector that recenters the first-layer mean.  For atomic laws the
 recentering constant is an exact rational vector; for continuous laws it
-is estimated by Monte Carlo with a reported standard error.
+is estimated by Monte Carlo.
 
 The gap function measures quantitative aperiodicity of the abelianized
 law over a dual annulus; its infimum is approximated by a coarse grid
@@ -327,7 +327,6 @@ class TruncatedMeasure:
     c_vector_adapted: np.ndarray          # recentering constant, adapted layer-1 coords
     c_vector_exact: Optional[tuple] = None
     exceed_probability: float = 0.0
-    c_stderr: float = 0.0
     drift_layer1: Optional[np.ndarray] = None
 
     def clip(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -368,10 +367,6 @@ class TruncatedMeasure:
                 out[bad, idx] = t[bad, None] * drift + self.c_vector_adapted
         return out, altered
 
-    def altered_fraction(self, rng, size) -> float:
-        raw = self.filtration.to_adapted_float(self.base.sample(rng, size))
-        return float(self.clip(raw)[1].mean())
-
 
 def recentering_constant(layer1: np.ndarray, level: int) -> tuple[np.ndarray, float]:
     """(c, P(exceed)) from first-layer samples, exceeding meaning |x^(1)| > sqrt(level):
@@ -388,71 +383,61 @@ def recentering_constant(layer1: np.ndarray, level: int) -> tuple[np.ndarray, fl
     return -kept_mean / p_exceed, p_exceed
 
 
-def _exact_layer_norm_sq(coords: Sequence[Fraction]) -> Fraction:
-    return sum(c * c for c in coords)
+TRUNCATE_MC_SAMPLES = 100_000  # draws behind a non-atomic law's recentering constant
 
 
 def truncate(measure: Measure, filtration: WeightFiltration, level: int,
-             mc_samples: int = 200_000, seed: int = 1) -> TruncatedMeasure:
-    """Build the level-N truncation.  The recentering constant is that of
-    ``recentering_constant``: exact for atomic laws, Monte Carlo otherwise."""
+             rng: Optional[np.random.Generator] = None,
+             drift_layer1: Optional[np.ndarray] = None) -> TruncatedMeasure:
+    """Build the level-N truncation, lifted to the drift extension when the
+    layer-1 drift X is given.  The recentering constant is that of
+    ``recentering_constant`` on x^(1) - X: exact for atomic laws, with X
+    taken as the Fraction of its float, and from ``TRUNCATE_MC_SAMPLES``
+    draws of ``rng`` otherwise."""
     wf = filtration
     if level < 1:
         raise ValueError("truncation level must be >= 1")
     idx1 = wf.layer_indices(1)
-
+    x = np.zeros(len(idx1)) if drift_layer1 is None else drift_layer1
+    c_exact = None
     if isinstance(measure, AtomicMeasure):
-        P = Fraction(0)
-        kept = [Fraction(0)] * len(idx1)
+        P, kept = Fraction(0), [Fraction(0)] * len(idx1)
         for p, w in zip(measure.points, measure.weights):
             c = wf.to_adapted(p)
-            layer1 = [c[j] for j in idx1]
-            if _exact_layer_norm_sq(layer1) > level:
+            layer1 = [c[j] - Fraction(xj) for j, xj in zip(idx1, x)]
+            if sum(v * v for v in layer1) > level:
                 P += w
             else:
-                for t, v in enumerate(layer1):
-                    kept[t] += w * v
-        if P == 0:
-            c_exact = tuple(Fraction(0) for _ in idx1)
-        else:
-            c_exact = tuple(-k / P for k in kept)
-        return TruncatedMeasure(
-            base=measure, filtration=wf, level=level,
-            c_vector_adapted=np.array([float(c) for c in c_exact]),
-            c_vector_exact=c_exact, exceed_probability=float(P),
-        )
-
-    rng = np.random.default_rng(seed)
-    layer1 = wf.to_adapted_float(measure.sample(rng, mc_samples))[:, idx1]
-    c, p_exceed = recentering_constant(layer1, level)
-    stderr = float(layer1.std() / math.sqrt(mc_samples) / p_exceed) if p_exceed else 0.0
-    return TruncatedMeasure(
-        base=measure, filtration=wf, level=level,
-        c_vector_adapted=c, exceed_probability=p_exceed, c_stderr=stderr,
-    )
+                kept = [k + w * v for k, v in zip(kept, layer1)]
+        c_exact = tuple(-k / P for k in kept) if P else (Fraction(0),) * len(idx1)
+        c, p_exceed = np.array([float(v) for v in c_exact]), float(P)
+    else:
+        layer1 = wf.to_adapted_float(measure.sample(rng, TRUNCATE_MC_SAMPLES))[:, idx1]
+        c, p_exceed = recentering_constant(layer1 - x, level)
+    return TruncatedMeasure(measure, wf, level, c, c_exact, p_exceed, drift_layer1)
 
 
 def truncated_atoms(tm: TruncatedMeasure) -> AtomicMeasure:
-    """Exact image of an atomic law under the truncation map."""
+    """Exact image of an atomic law under the map of ``tm.clip``, lift included."""
     if tm.c_vector_exact is None:
         raise ValueError("exact truncated atoms only exist for atomic laws")
     wf = tm.filtration
     base: AtomicMeasure = tm.base  # type: ignore[assignment]
-    idx_by_layer = {b: wf.layer_indices(b) for b in range(1, wf.max_weight + 1)}
+    lift = tm.drift_layer1 is not None
+    x = [Fraction(v) for v in tm.drift_layer1] if lift else [0] * len(tm.c_vector_exact)
+    layers = {b: wf.layer_indices(b) for b in range(1, wf.max_weight + 1)}
     new_points = []
     for p in base.points:
         c = list(wf.to_adapted(p))
-        for b, idx in idx_by_layer.items():
-            if not idx:
-                continue
-            norm_sq = _exact_layer_norm_sq([c[j] for j in idx])
-            if norm_sq > Fraction(tm.level) ** b:
-                if b == 1:
-                    for t, j in enumerate(idx):
-                        c[j] = tm.c_vector_exact[t]
-                else:
-                    for j in idx:
-                        c[j] = Fraction(0)
+        bad = set()  # every layer is judged before any write, as in clip
+        for b, idx in layers.items():
+            layer = [c[j] - (x[i] if b == 1 else 0) for i, j in enumerate(idx)]
+            t_sq = 1 if lift and b == 2 else 0  # the lift's t = 1 sits in layer 2
+            if sum(v * v for v in layer) + t_sq > Fraction(tm.level) ** b:
+                bad.add(b)
+        for b in bad:
+            for i, j in enumerate(layers[b]):  # layer 1 becomes t X + c, t = 0 if layer 2 clipped
+                c[j] = Fraction(0) if b > 1 else tm.c_vector_exact[i] + (0 if 2 in bad else x[i])
         new_points.append(wf.from_adapted(c))
     return AtomicMeasure(base.algebra, new_points, base.weights, base.aperiodic)
 
@@ -473,7 +458,7 @@ def weight_moments(measure: Measure, filtration: WeightFiltration, order: float,
             total = 0.0
             for p, w in zip(measure.points, measure.weights):
                 c = wf.to_adapted(p)
-                norm = math.sqrt(float(_exact_layer_norm_sq([c[j] for j in idx])))
+                norm = math.sqrt(float(sum(c[j] * c[j] for j in idx)))
                 total += float(w) * norm ** (order / b)
             out[b] = {"value": total, "stderr": 0.0}
         return out

@@ -22,8 +22,8 @@ bit-identical estimates no matter how many workers run.
 Recentering modes: none, right translation by -N*X (mean recentering), or
 the variable version -N*X * -D_sqrt(N) Y that aims the window at density
 point Y.  The gradually truncated walk differs from the plain one only in
-that each increment first passes the ``measures.TruncatedMeasure`` clip of
-its schedule level, lifted to the drift extension; chunk plan, streams,
+that each increment first passes the clip that ``measures.truncate`` builds
+for its schedule level, lifted to the drift extension; chunk plan, streams,
 workers and recentering are shared, so for compactly supported laws and
 large N the two coincide bit for bit.
 
@@ -46,7 +46,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .filtration import WeightFiltration
-from .measures import Measure, TruncatedMeasure, recentering_constant
+from .measures import Measure, TruncatedMeasure, truncate
 
 # -- results -------------------------------------------------------------------
 
@@ -310,35 +310,16 @@ def truncation_schedule(n_steps: int, gamma0: float, step: int) -> list[tuple[in
     return levels
 
 
-_LIFT_MC_SAMPLES = 100_000  # samples behind each level's recentering constant
-_LIFT_SEED_SALT = 977       # keeps that stream apart from the chunk streams
-
-
-def lifted_truncation(cfg: WalkConfig, level: int) -> TruncatedMeasure:
-    """Truncation of the drift-lifted law at the given level.
-
-    The recentering constant is the plain truncation's, taken on the lifted
-    first layer x^(1) - X and estimated by Monte Carlo on a dedicated
-    deterministic stream.  Zero drift gives the plain truncation's rule.
-    """
-    wf = cfg.filtration
-    idx1 = wf.layer_indices(1)
-    x1 = drift_vector_adapted(cfg)[idx1]
-    drift = x1 if np.any(x1) else None
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _LIFT_SEED_SALT, level]))
-    layer1 = wf.to_adapted_float(cfg.measure.sample(rng, _LIFT_MC_SAMPLES))[:, idx1]
-    if drift is not None:
-        layer1 = layer1 - drift
-    c, p_exceed = recentering_constant(layer1, level)
-    return TruncatedMeasure(base=cfg.measure, filtration=wf, level=level, c_vector_adapted=c,
-                            exceed_probability=p_exceed, drift_layer1=drift)
-
-
 def gradual_truncation(cfg: WalkConfig, gamma0: float) -> list[TruncatedMeasure]:
-    """The clip of each step: the lifted truncation of its schedule level."""
+    """The clip of each step: ``measures.truncate`` at its schedule level,
+    lifted by the layer-1 drift X; zero drift gives the plain rule."""
+    x1 = drift_vector_adapted(cfg)[cfg.filtration.layer_indices(1)]
     truncs: list[TruncatedMeasure] = []
     for level, count in truncation_schedule(cfg.n_steps, gamma0, cfg.algebra.step):
-        truncs += [lifted_truncation(cfg, level)] * count
+        # salt 977 keeps the recentering draws apart from the chunk streams
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 977, level]))
+        truncs += [truncate(cfg.measure, cfg.filtration, level, rng,
+                            x1 if np.any(x1) else None)] * count
     return truncs
 
 

@@ -259,6 +259,48 @@ def test_walk_csv_bodies_are_pinned(tmp_path, monkeypatch, algebra, mode):
         assert hashlib.sha256(body).hexdigest() == WALK_DIGESTS[algebra][mode], workers
 
 
+# SHA-256 of each summary's "runs" without "wall_time", as sorted-key JSON, on
+# the configs of WALK_DIGESTS, recorded before theta's truncations came from
+# measures.truncate
+SUMMARY_DIGESTS = {
+    "heisenberg3": {
+        "llt": "66a301e897fede18d54ff6f5d6e0ecca47865b36e8d7e1dbc011943fa8a4144e",
+        "clt": "a031f80cc05638ae704bc985b51d41eed9b6c63f13967c796e3ea923aa1105b3",
+        "ratio": "4c3fd44b96b902fe928c4e323546b7aa48414102fe3da833b68606de7cd6ed20",
+        "pixel": "3daaf0b3993e25c8efae61257094e25fbc0f518d8e49233515d2a7f4e43108ef",
+        "theta": "9a1bfef914d28fe095438d2ee52e710937fbff149279c9a2bb4176e39a499a99",
+    },
+    "free-nilpotent(2,3)+e1": {
+        "llt": "058a013b034a4a0f182d063996d245a4a6c665497c9d652b1a2e59fdc7b1d08c",
+        "clt": "b5c1f2a811c783167af67030a7f6ae3d03aa0f8c7bd741c575e9bd6c08284a0d",
+        "ratio": "0bede655742af77516d9c370cf433705cef92295ac518147416c5cbb6ceeab57",
+        "pixel": "842e38d8f1c1619023c23414dbc9dd6e776d4840689652d342f345540e8d04ea",
+        "theta": "e5f8a6b044a5c4f2efc77e3c04ee5867014eecdb0f95fb5e27a9b773b3ad10a5",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", list(WALK_MODES))
+@pytest.mark.parametrize("algebra", list(GRID_WALKS))
+def test_walk_summary_runs_are_pinned(tmp_path, monkeypatch, algebra, mode):
+    from nilwalk import cli
+
+    monkeypatch.setattr(cli, "WalkConfig", functools.partial(walks.WalkConfig, chunk_size=700))
+    base = GRID_WALKS[algebra]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base | {"seed": 47, "M": 1_500, "N_grid": [6, 3], "params": (
+        base["params"] | {"recenter": "mean", "diffusion_steps": 8, "nu_samples": 2_000})}))
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}.csv"
+        assert main(["--workers", workers, "walk", mode, "--config", str(path),
+                     "--out", str(out)]) == 0
+        runs = json.loads((tmp_path / f"out{workers}_summary.json").read_text())["runs"]
+        for run in runs:
+            del run["wall_time"]
+        blob = json.dumps(runs, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == SUMMARY_DIGESTS[algebra][mode], workers
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_is_a_parse_error(heis_config, workers, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -459,6 +501,37 @@ def test_empty_limit_grid_or_bank_is_a_validation_error(heis_config, command, pa
     cfg["params"] |= {"recenter": "none", "diffusion_steps": 4, "nu_samples": 500} | params
     heis_config.write_text(json.dumps(cfg))
     assert main(command + ["--config", str(heis_config)]) == 3
+
+
+@pytest.mark.parametrize("mode, params", [
+    ("llt", {"recenter": "variable", "Y": [0.5]}),
+    ("llt", {"box": [[-1, 1]]}),
+    ("ratio", {"g": [1.0]}),
+    ("ratio", {"h": [1.0]}),
+])
+def test_coordinate_input_of_the_wrong_length_is_a_validation_error(heis_config, mode, params):
+    cfg = json.loads(heis_config.read_text()) | {"M": 500}
+    cfg["params"] |= {"diffusion_steps": 4, "nu_samples": 500} | params
+    heis_config.write_text(json.dumps(cfg))
+    assert main(["walk", mode, "--config", str(heis_config)]) == 3
+
+
+def test_limit_density_point_of_the_wrong_length_is_a_parse_error(heis_config, capsys):
+    assert main(["limit", "density", "--config", str(heis_config), "--point", "0"]) == 2
+    assert "--point" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", [
+    {"seed": [1]},
+    {"M": [5]},
+    {"N_grid": 5},
+    {"params": 5},
+    {"measure": {"kind": "product", "factors": [1, 2, 3]}},
+])
+def test_malformed_config_field_is_a_parse_error(heis_config, field, capsys):
+    heis_config.write_text(json.dumps(json.loads(heis_config.read_text()) | field))
+    assert main(["walk", "llt", "--config", str(heis_config)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_walk_parse_error(tmp_path):

@@ -119,9 +119,9 @@ def test_truncation_centers_first_layer_for_random_atoms(heis, heis_centered):
 
 
 def test_truncated_fraction_decays(heis, heis_centered, heis_gauss):
-    rng = np.random.default_rng(3)
-    tms = [truncate(heis_gauss, heis_centered, n) for n in (1, 4, 16)]
-    fractions = [tm.altered_fraction(np.random.default_rng(9), 100_000) for tm in tms]
+    tms = [truncate(heis_gauss, heis_centered, n, np.random.default_rng(1)) for n in (1, 4, 16)]
+    rows = heis_centered.to_adapted_float(heis_gauss.sample(np.random.default_rng(9), 100_000))
+    fractions = [tm.clip(rows)[1].mean() for tm in tms]
     assert fractions[0] >= fractions[1] >= fractions[2]
     assert fractions[2] < 0.01
 
@@ -134,6 +134,36 @@ def test_truncation_map_matches_atom_transform(heis, heis_centered):
     expected = np.array([[float(c) for c in heis_centered.to_adapted(p)]
                          for p in truncated_atoms(tm).points])
     assert np.allclose(clipped, expected)
+
+
+@pytest.mark.parametrize("alg", [heisenberg3(), free_nilpotent(2, 3), free_nilpotent(3, 2)],
+                         ids=lambda a: a.name)
+def test_lifted_clip_matches_exact_truncated_atoms(alg):
+    """The float clip, lifted by the law's layer-1 drift X, maps each atom to
+    the adapted point of its image under ``truncated_atoms``.  On
+    free-nilpotent(3,2) layer 2 is not empty, so some rows clip layers 1 and
+    2 together and take t = 0."""
+    import random
+
+    rng = random.Random(23)
+    wf = WeightFiltration(alg, [1] + [0] * (alg.dim - 1))
+    idx1 = wf.layer_indices(1)
+    clipped, both = 0, 0
+    for _ in range(6):
+        pts = [tuple(F(rng.randint(-60, 60), 7) for _ in range(alg.dim)) for _ in range(12)]
+        m = AtomicMeasure(alg, pts, [F(1, 12)] * 12)
+        x = wf.to_adapted_float(m.mean_float())[idx1]
+        rows = wf.to_adapted_float(m.pts)
+        for level in (1, 2, 4, 9):
+            tm = truncate(m, wf, level, drift_layer1=x)
+            out, altered = tm.clip(rows)
+            expected = np.array([[float(c) for c in wf.to_adapted(p)]
+                                 for p in truncated_atoms(tm).points])
+            assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
+            clipped += int(altered.sum())
+            both += int(((out[:, idx1] == tm.c_vector_adapted).all(axis=1) & altered).sum())
+    assert clipped > 100
+    assert both > 0 if wf.layer_indices(2) else both == 0
 
 
 def test_clip_rule_on_hand_built_rows():

@@ -13,6 +13,7 @@ from nilwalk.measures import (
     ProductMeasure,
     TwoPoint1D,
     Uniform1D,
+    truncated_atoms,
 )
 from nilwalk.walks import (
     ExperimentResult,
@@ -125,6 +126,22 @@ def test_schedule_covers_exactly():
     assert sch[-1][0] == 256  # the final exponent vanishes, so the last level is N
     with pytest.raises(ValueError):
         truncation_schedule(10, 1.5, 2)
+
+
+def test_gradual_truncation_of_atoms_is_exact_and_recenters_on_the_drift(heis):
+    """heisenberg3 with drift e1 has an empty layer 2, so the lifted clip
+    sends a clipped layer 1 to X + c, and the truncated law's layer-1 mean
+    is exactly the X of the clip.  The atom (12, 0, 2) exceeds both levels,
+    63 and 64."""
+    wf = WeightFiltration(heis, [1, 0, 0])
+    mu = AtomicMeasure(heis, [(1, 3, 0), (0, -1, 0), (12, 0, 2), (-2, 0, -1)],
+                       [F(3, 10), F(3, 10), F(1, 10), F(3, 10)])
+    truncs = gradual_truncation(WalkConfig(wf, mu, 64, 100, seed=3), 0.2)
+    assert {tm.level for tm in truncs} == {63, 64}
+    for tm in truncs:
+        assert tm.c_vector_exact is not None and tm.exceed_probability == 0.1
+        mean = wf.to_adapted(truncated_atoms(tm).mean_exact())
+        assert list(mean[:2]) == [F(x) for x in tm.drift_layer1]
 
 
 def test_theta_equals_plain_walk_for_compact_support(heis_centered):
