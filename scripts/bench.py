@@ -4,7 +4,8 @@
     python scripts/bench.py {kernel,exact,nilmanifold,walk} [--parent SRC]
 
 kernel times product_map per builtin algebra (ns per replica-step, and the
-build time), and its in-place call on coordinate-major x and y, the layout
+build time of a fresh algebra's kernel, with an empty kernel cache and with
+a warm one), and its in-place call on coordinate-major x and y, the layout
 of the walk's fold on an identity adapted basis, checking that it writes
 the allocating call's bytes; exact each exact identity family and
 acceptance criterion 1, nilmanifold the Cesaro walk on H(R)/H(Z) at three
@@ -98,19 +99,34 @@ def timed(call, repeats):
 
 
 def kernel_case(name):
+    import tempfile
+
     import numpy as np
 
+    from nilwalk import algebra
     from nilwalk.algebra import NilpotentAlgebra, builtin_algebra
     from nilwalk.filtration import WeightFiltration
 
     alg = builtin_algebra(name.split("+")[0])
     if name.endswith("+e1-adapted"):
         alg = WeightFiltration(alg, [1] + [0] * (alg.dim - 1)).adapted_algebra
-    alg.product_map()  # warms the shared two-letter series for this class
-    fresh = NilpotentAlgebra(alg.dim, alg.step, alg.table, validate=False)
-    t0 = time.perf_counter()
-    product = fresh.product_map()
-    compile_s = time.perf_counter() - t0
+    alg.group_law  # warms the shared two-letter series for this class
+    kernels = getattr(algebra, "compiled_kernel", None)  # a numpy-only tree compiles nothing
+
+    def build():
+        """A fresh algebra's product_map and the seconds it took, with no
+        kernel cached in process."""
+        if kernels is not None:
+            kernels.cache_clear()
+        fresh = NilpotentAlgebra(alg.dim, alg.step, alg.table, validate=False)
+        t0 = time.perf_counter()
+        product = fresh.product_map()
+        return product, time.perf_counter() - t0
+
+    with tempfile.TemporaryDirectory() as cache:
+        os.environ["XDG_CACHE_HOME"] = cache
+        _, compile_s_cold = build()  # an empty kernel cache: compiles
+        product, compile_s_warm = build()  # loads what the cold build left
     rng = np.random.default_rng(20240601)
     x = rng.uniform(-1.0, 1.0, (KERNEL_ROWS, alg.dim))
     y = rng.uniform(-1.0, 1.0, (KERNEL_ROWS, alg.dim))
@@ -127,7 +143,8 @@ def kernel_case(name):
     return ({"ns_per_replica_step": statistics.median(times) / KERNEL_ROWS * 1e9,
              "in_place_ns_per_replica_step": statistics.median(in_place_times)
              / KERNEL_ROWS * 1e9,
-             "compile_s": compile_s}, hashlib.sha256(out.tobytes()).hexdigest())
+             "compile_s_cold": compile_s_cold, "compile_s_warm": compile_s_warm},
+            hashlib.sha256(out.tobytes()).hexdigest())
 
 
 def exact_family(name):

@@ -180,10 +180,14 @@ class ExperimentConfig:
             coords = {"drift": drift} | {k: params[k] for k in ("Y", "g", "h", "box")
                                          if k in params}
             short = [k for k, v in coords.items() if len(v) != algebra.dim]
+            ordered = all(len(b) == 2 and float(b[0]) <= float(b[1])
+                          for b in params.get("box", ()))
         except TypeError as e:
             raise ConfigError(f"bad config field: {e}") from e
         if short:
             raise ValueError(f"{', '.join(short)} length must match the algebra dimension")
+        if not ordered:
+            raise ValueError("each box entry must be a pair [lo, hi] with lo <= hi")
         filtration = WeightFiltration(algebra, drift)
         if any(n < 1 for n in grid):
             raise ValueError("N values must be positive")

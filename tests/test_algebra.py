@@ -1,5 +1,6 @@
 import functools
 import itertools
+import os
 import random
 import re
 from fractions import Fraction as F
@@ -9,15 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilwalk import algebra
 from nilwalk.algebra import (
     BLOCK_ROWS,
     DimensionMismatch,
     NilpotentAlgebra,
     abelian,
     builtin_algebra,
+    c_compiler,
+    compiled_kernel,
     filiform4,
     free_nilpotent,
     heisenberg3,
+    kernel_cache_dir,
 )
 from nilwalk.filtration import WeightFiltration
 from nilwalk.freealg import FreePoly, dynkin_product, evaluate_lie, product_support_size_part
@@ -332,6 +337,110 @@ def test_product_in_place_is_bit_identical(name):
                 b = y.copy()
                 pm(x, b, out=b)
                 assert b.tobytes() == want
+
+
+needs_compiler = pytest.mark.skipif(c_compiler() is None, reason="no C compiler on PATH")
+
+
+def _copy(alg):
+    """The same table in a new algebra, whose kernels are not built yet."""
+    return NilpotentAlgebra(alg.dim, alg.step, alg.table, validate=False)
+
+
+@needs_compiler
+@pytest.mark.parametrize("name", sorted(GUARD_ALGEBRAS))
+def test_compiled_kernel_has_the_numpy_kernels_bits(name):
+    """Row-major and coordinate-major, out=x and out=y, a full, a one-row
+    and a (dim,) y, one row and either side of BLOCK_ROWS: every output of
+    either kernel is the numpy kernel's allocating output, byte for byte."""
+    alg = GUARD_ALGEBRAS[name]()
+    numpy_kernel, compiled = alg.product_kernels
+    if alg.step == 1:  # x + y is one numpy call: nothing is compiled
+        assert compiled is None and alg.product_map() is numpy_kernel
+        return
+    assert compiled is not None and alg.product_map() is compiled
+    rng = np.random.default_rng(29)
+    for n in (1, BLOCK_ROWS - 1, BLOCK_ROWS + 1):
+        x, y = rng.uniform(-2, 2, (2, n, alg.dim))
+        for y in (y, y[:1], y[0]):
+            want = numpy_kernel(x, y).tobytes()
+            assert compiled(x, y).tobytes() == want
+            assert compiled(x[::-1], y).tobytes() == numpy_kernel(x[::-1], y).tobytes()
+            assert compiled(x[0], y if y.ndim == 1 else y[0]).tobytes() == \
+                numpy_kernel(x[0], y if y.ndim == 1 else y[0]).tobytes()
+            for kernel in (numpy_kernel, compiled):
+                for layout in (np.copy, lambda a: a.T.copy().T):
+                    a = layout(x)
+                    assert kernel(a, y, out=a) is a
+                    assert np.ascontiguousarray(a).tobytes() == want
+                    if y.shape == x.shape:
+                        a, b = layout(x), layout(y)
+                        assert kernel(a, b, out=b) is b
+                        assert np.ascontiguousarray(b).tobytes() == want
+
+
+@needs_compiler
+@pytest.mark.parametrize("name", ["heisenberg3", "filiform4", "free(2,3)"])
+def test_compiled_kernel_equals_bch_exact_where_floats_are_exact(name):
+    """Zero tolerance.  The inputs are multiples of 3/8, so every monomial
+    and every group sum is exact, and scaling a multiple of 3 by a
+    coefficient with denominator 2^a or 3 * 2^a rounds to its exact value:
+    the compiled output is float(bch_exact), and that float is exact."""
+    alg = GUARD_ALGEBRAS[name]()
+    compiled = alg.product_kernels[1]
+    rng = random.Random(name + "-exact")
+    for _ in range(40):
+        x, y = ([F(3 * rng.randint(-24, 24), 8) for _ in range(alg.dim)] for _ in range(2))
+        exact = alg.bch_exact(x, y)
+        assert all(F(float(c)) == c for c in exact)
+        got = compiled(np.array(x, dtype=float), np.array(y, dtype=float))
+        assert got.tolist() == [float(c) for c in exact]
+
+
+@pytest.fixture
+def free23_product():
+    """Inputs and the output bytes of free(2,3)'s product_map, built before
+    any fallback: with a compiler, the compiled kernel's."""
+    x, y = np.random.default_rng(31).uniform(-1, 1, (2, 500, 5))
+    return x, y, _copy(free_nilpotent(2, 3)).product_map()(x, y).tobytes()
+
+
+def test_numpy_kernel_runs_when_no_kernel_can_be_compiled(free23_product, numpy_fallback):
+    x, y, want = free23_product
+    alg = _copy(free_nilpotent(2, 3))
+    numpy_kernel, compiled = alg.product_kernels
+    assert compiled is None and alg.product_map() is numpy_kernel
+    assert numpy_kernel(x, y).tobytes() == want
+
+
+@needs_compiler
+def test_kernel_cache_is_reused_and_a_truncated_object_is_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+
+    def kernels(compiler=c_compiler):
+        """filiform4's kernels built afresh, with nothing cached in process."""
+        compiled_kernel.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "c_compiler", compiler)
+            return _copy(filiform4()).product_kernels
+
+    try:
+        assert kernels()[1] is not None
+        (cached,) = kernel_cache_dir().iterdir()
+        whole = cached.read_bytes()
+        assert kernels(lambda: None)[1] is not None  # a whole object needs no compiler
+        for size in (len(whole) // 2, len(whole) - 1, 0):
+            # a new file: cutting the loaded one in place would fault this process
+            cut = tmp_path / "cut"
+            cut.write_bytes(whole[:size])
+            os.replace(cut, cached)
+            assert kernels(lambda: None)[1] is None  # the cut object is not loaded
+            numpy_kernel, compiled = kernels()  # it is built again
+            assert list(kernel_cache_dir().iterdir()) == [cached] and cached.read_bytes() == whole
+            x, y = np.random.default_rng(size).uniform(-1, 1, (2, 300, 4))
+            assert compiled(x, y).tobytes() == numpy_kernel(x, y).tobytes()
+    finally:
+        compiled_kernel.cache_clear()
 
 
 # -- the integer Lie evaluator --------------------------------------------------------

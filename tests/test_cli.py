@@ -259,6 +259,19 @@ def test_walk_csv_bodies_are_pinned(tmp_path, monkeypatch, algebra, mode):
         assert hashlib.sha256(body).hexdigest() == WALK_DIGESTS[algebra][mode], workers
 
 
+@pytest.mark.parametrize("algebra", list(GRID_WALKS))
+def test_walk_clt_keeps_its_pinned_body_on_the_numpy_kernel(tmp_path, monkeypatch,
+                                                            numpy_fallback, algebra):
+    from nilwalk.algebra import NilpotentAlgebra
+
+    compiled = []
+    product_map = NilpotentAlgebra.product_map
+    monkeypatch.setattr(NilpotentAlgebra, "product_map", lambda self: (
+        compiled.append(self.product_kernels[1]), product_map(self))[1])
+    test_walk_csv_bodies_are_pinned(tmp_path, monkeypatch, algebra, "clt")
+    assert compiled and not any(compiled)
+
+
 # SHA-256 of each summary's "runs" without "wall_time", as sorted-key JSON, on
 # the configs of WALK_DIGESTS, recorded before theta's truncations came from
 # measures.truncate
@@ -514,6 +527,19 @@ def test_coordinate_input_of_the_wrong_length_is_a_validation_error(heis_config,
     cfg["params"] |= {"diffusion_steps": 4, "nu_samples": 500} | params
     heis_config.write_text(json.dumps(cfg))
     assert main(["walk", mode, "--config", str(heis_config)]) == 3
+
+
+@pytest.mark.parametrize("box", [
+    [[-1], [-1], [-1]],
+    [[-1, 0, 1]] * 3,
+    [[-1, 1], [1, -1], [-1, 1]],
+], ids=["one-bound", "three-bounds", "lo-above-hi"])
+def test_box_entry_that_is_not_an_ordered_pair_is_a_validation_error(heis_config, box, capsys):
+    cfg = json.loads(heis_config.read_text()) | {"M": 500}
+    cfg["params"] |= {"box": box}
+    heis_config.write_text(json.dumps(cfg))
+    assert main(["walk", "llt", "--config", str(heis_config)]) == 3
+    assert "box entry" in capsys.readouterr().err
 
 
 def test_limit_density_point_of_the_wrong_length_is_a_parse_error(heis_config, capsys):
