@@ -8,9 +8,8 @@ from fractions import Fraction as F
 import numpy as np
 
 from nilwalk.algebra import heisenberg3
-from nilwalk.config import write_csv
 from nilwalk.filtration import WeightFiltration
-from nilwalk.fourier import FrequencyPoint, reduced_domain_scan
+from nilwalk.fourier import FrequencyPoint, reduced_domain_scan, write_scan_csv
 from nilwalk.measures import AtomicMeasure, Dirac1D, Gaussian1D, ProductMeasure
 
 
@@ -39,7 +38,6 @@ def main():
 
     lattice = AtomicMeasure(
         heis, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], [F(1, 4)] * 4,
-        aperiodic=False,
     )
     rep2 = reduced_domain_scan(wf, lattice, [FrequencyPoint((1.0, 0.0, 0.0))],
                                [args.n_grid[-1]], 20_000, gamma0=args.gamma0,
@@ -48,14 +46,7 @@ def main():
           f"|transform| = {rep2['rows'][0]['modulus']:.4f} (stays near 1)")
 
     if args.out:
-        rows = [
-            {"experiment": "fourier_scan", "N": r["N"], "M": args.replicas,
-             "estimate": r["modulus"], "stderr": r["stderr"], "target": "",
-             "seed": args.seed, "config_digest": "", "xi": r["xi"],
-             "inside": r["inside"]}
-            for r in rep["rows"]
-        ]
-        write_csv(args.out, rows)
+        write_scan_csv(args.out, rep, args.replicas, args.seed)
 
 
 if __name__ == "__main__":

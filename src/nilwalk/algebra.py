@@ -33,7 +33,9 @@ plan, one loop over rows with the same products, the same sums in the same
 order and one multiplication per group, compiled with the system C
 compiler under CFLAGS (no fast-math, no fused multiply-add) and called
 through ctypes, which releases the interpreter lock.  Every operation
-therefore rounds as in numpy, and the two give the same bits.  The shared
+therefore rounds as in numpy, and the two give the same bits.  Both only
+write into ``out``; for a call that passes none, ``_operands`` allocates a
+new C-ordered array of the broadcast shape of x and y.  The shared
 object is cached by the SHA-256 of its flags and source, in process and
 under ``$XDG_CACHE_HOME/nilwalk`` (default ``~/.cache/nilwalk``), so a
 machine compiles each kernel once.  The numpy kernel runs when there is no
@@ -65,10 +67,19 @@ ExactVector = tuple[Fraction, ...]
 Monomial = tuple[int, ...]
 
 
-# Rows per pass of the float group law, and replica-steps per block of the
-# Cesaro walk: the temporaries of one pass stay in cache, which on large
-# batches is several times faster than one pass.
+# Rows per pass of the float group law, whose temporaries then stay in cache
+# (unblocked, the numpy kernel ran 2.5-3x slower: heisenberg3 5.2 -> 12.9 and
+# free(2,3) 25 -> 77 ns/row at 250k rows), and replica-steps per Cesaro block.
 BLOCK_ROWS = 4096
+
+
+def _operands(x, y, out):
+    """x and y as float arrays, and out, or when it is None a new C-ordered
+    array of their broadcast shape: the one output rule of both kernels."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if out is None:  # equal shapes, every allocating caller's, skip np.broadcast_shapes' 1.7 us
+        out = np.empty(x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape))
+    return x, y, out
 
 
 class DimensionMismatch(ValueError):
@@ -252,7 +263,8 @@ class NilpotentAlgebra:
         each coordinate adds its higher monomials, summed in groups of equal
         |coefficient| and scaled once per group.  Each monomial, and each
         prefix of one, is computed once per row and shared by the
-        coordinates.  ``out=`` may be x or y itself, with the same bits; in a
+        coordinates.  ``out=`` may be x or y itself, with the same bits, and
+        without it the product is a new C-ordered array; in a
         coordinate-major array (the transpose of a (dim, n) buffer) each
         coordinate is contiguous.  The compiled back end of
         ``product_kernels`` runs when there is one, else the numpy one; both
@@ -284,12 +296,11 @@ class NilpotentAlgebra:
                 plan.append((k, float(c), pos, neg) if pos else (k, -float(c), neg, pos))
         variables = sorted({v for m in steps for v in m})
 
-        def accumulate(out: np.ndarray, x: np.ndarray, y: np.ndarray, add: bool) -> None:
+        def accumulate(out: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
             val = {(v,): x[..., v] if v < d else y[..., v - d] for v in variables}
             for m, (prefix, last) in steps.items():
                 val[m] = val[prefix] * val[last]
-            if add:  # out may be x or y: it is written once every monomial is taken
-                np.add(x, y, out=out)
+            np.add(x, y, out=out)  # out may be x or y: it is written once every monomial is taken
             for k, c, pos, neg in plan:
                 acc = val[pos[0]]
                 for m in pos[1:]:
@@ -299,19 +310,15 @@ class NilpotentAlgebra:
                 out[..., k] += acc if c == 1.0 else c * acc
 
         def product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            add = out is not None
-            out = out if add else x + y
+            x, y, out = _operands(x, y, out)
             n = len(out) if out.ndim == 2 and plan else 0
             if n <= BLOCK_ROWS:
-                if plan or add:
-                    accumulate(out, x, y, add)
+                accumulate(out, x, y)
                 return out
             for lo in range(0, n, BLOCK_ROWS):
                 rows = slice(lo, lo + BLOCK_ROWS)
                 accumulate(out[rows], *(a[rows] if a.ndim == 2 and len(a) == n else a
-                                        for a in (x, y)), add)
+                                        for a in (x, y)))
             return out
 
         # an empty plan is x + y, one numpy call that a compiled kernel would only repeat
@@ -538,16 +545,14 @@ def _compiled_product(fn, d: int, fallback):
         return address, r >> 3, c >> 3
 
     def product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        o = x + y if out is None else out
-        n = len(o) if o.ndim == 2 else 1
-        lx, ly, lo = layout(x, n), layout(y, n), layout(o, n)
-        if lx is None or ly is None or lo is None or o.dtype != np.float64 \
-                or not o.flags.writeable:
+        x, y, out = _operands(x, y, out)
+        n = len(out) if out.ndim == 2 else 1
+        lx, ly, lo = layout(x, n), layout(y, n), layout(out, n)
+        if lx is None or ly is None or lo is None or out.dtype != np.float64 \
+                or not out.flags.writeable:
             return fallback(x, y, out)
         fn(_ARGS.pack(n, *lx, *ly, *lo))
-        return o
+        return out
 
     return product
 

@@ -45,7 +45,7 @@ from .config import (
     write_summary,
 )
 from .filtration import WeightFiltration
-from .fourier import log_frequency_grid, reduced_domain_scan
+from .fourier import log_frequency_grid, reduced_domain_scan, write_scan_csv
 from .limitlaw import DiffusionSpec, kde_density, levy_area_reference, simulate_limit
 from .nilmanifold import cesaro_equidistribution
 from .walks import (
@@ -257,17 +257,8 @@ def cmd_fourier_scan(args) -> int:
         cfg.filtration, cfg.measure, xis, cfg.n_grid, cfg.n_replicas,
         gamma0=args.gamma0, seed=cfg.seed, workers=args.workers,
     )
-    rows = [
-        {
-            "experiment": "fourier_scan", "N": r["N"], "M": cfg.n_replicas,
-            "estimate": r["modulus"], "stderr": r["stderr"],
-            "target": "", "seed": cfg.seed, "config_digest": cfg.digest,
-            "xi": "|".join(f"{v:.6g}" for v in r["xi"]), "inside": r["inside"],
-        }
-        for r in rep["rows"]
-    ]
     if args.out:
-        write_csv(args.out, rows, CSV_COLUMNS + ["xi", "inside"])
+        write_scan_csv(args.out, rep, cfg.n_replicas, cfg.seed, cfg.digest)
     else:
         print(json.dumps(rep["summary"], indent=2))
     return EXIT_OK if rep["summary"]["outside_decay_ok"] else 1

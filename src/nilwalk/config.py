@@ -115,7 +115,6 @@ def parse_measure(spec: dict, algebra: NilpotentAlgebra) -> Measure:
                 algebra,
                 [[Fraction(str(c)) for c in p] for p in spec["points"]],
                 [Fraction(str(w)) for w in spec["weights"]],
-                aperiodic=bool(spec.get("aperiodic", True)),
             )
         if kind == "gaussian_layers":
             cov = [float(c) for c in spec["cov"]]

@@ -28,6 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .config import CSV_COLUMNS, write_csv
 from .filtration import WeightFiltration
 from .measures import Measure
 from .walks import Plan, WalkConfig, experiment, job_pool, run_plans, totals
@@ -139,6 +140,17 @@ def reduced_domain_scan(filtration: WeightFiltration, measure: Measure,
             summary["outside_final_max"] = max(summary["outside_final_max"],
                                                seq[-1]["modulus"])
     return {"rows": rows, "gamma0": gamma0, "summary": summary}
+
+
+def write_scan_csv(path: str, rep: dict, n_replicas: int, seed: int,
+                   config_digest: str = "") -> None:
+    """A ``reduced_domain_scan`` report as CSV, one row per (N, frequency):
+    the walk columns, then ``xi`` ('|'-joined) and ``inside``."""
+    write_csv(path, [{"experiment": "fourier_scan", "N": r["N"], "M": n_replicas,
+                      "estimate": r["modulus"], "stderr": r["stderr"], "seed": seed,
+                      "config_digest": config_digest, "inside": r["inside"],
+                      "xi": "|".join(f"{v:.6g}" for v in r["xi"])}
+                     for r in rep["rows"]], CSV_COLUMNS + ["xi", "inside"])
 
 
 # -- weighted test-function norm ----------------------------------------------------
@@ -268,6 +280,7 @@ def _kernel_pair(x: np.ndarray) -> np.ndarray:
 
 
 _KERNEL_L1 = 4.0 / 3.0  # two copies of integral (sin pi x / pi x)^4 dx = 2/3 each
+SANDWICH_ATTEMPTS = 3  # contractions band_limited_sandwich tries before it gives up
 
 
 def normalized_kernel(x: np.ndarray) -> np.ndarray:
@@ -282,12 +295,6 @@ def _kernel_first_moment() -> float:
     return float(np.trapezoid(vals, grid)) + 1e-3  # tail padding
 
 
-def _cover_floor(max_center_distance: float = 0.26) -> float:
-    """Certified lower bound of the kernel pair within reach of a center."""
-    u = np.linspace(-max_center_distance, max_center_distance, 4001)
-    return 0.95 * float(_kernel_pair(u).min())
-
-
 @dataclass
 class SandwichResult:
     lower: Callable[[np.ndarray], np.ndarray]
@@ -300,8 +307,7 @@ class SandwichResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def band_limited_sandwich(f: Optional[PiecewiseLinear], eps: float,
-                          max_iterations: int = 3) -> SandwichResult:
+def band_limited_sandwich(f: Optional[PiecewiseLinear], eps: float) -> SandwichResult:
     """Enclose f between band-limited integrable functions with small L1 gap.
 
     The upper function is f mollified at scale 1/t plus a band-limited
@@ -331,14 +337,16 @@ def band_limited_sandwich(f: Optional[PiecewiseLinear], eps: float,
     x_lo, x_hi = f.xs[0], f.xs[-1]
     centers = np.arange(x_lo - 1.0, x_hi + 1.0 + 1e-9, 0.5)
     cover_l1 = len(centers) * _KERNEL_L1
-    cover_min = _cover_floor()  # centers are 1/2 apart, so all of K is within 1/4
+    # centers are 1/2 apart, so all of K is within 1/4 of one: a certified
+    # floor of the kernel pair within 0.26 of a center bounds the cover below
+    cover_min = 0.95 * float(_kernel_pair(np.linspace(-0.26, 0.26, 4001)).min())
     m1 = _kernel_first_moment()
 
     # mollification error from the Lipschitz bound; pick t so that the gap
     # budget 2 * delta1 * ||cover|| stays under 0.8 eps
     t = max(8.0, 2.0 * lip * m1 * cover_l1 / (0.8 * eps * cover_min))
 
-    for attempt in range(max_iterations):
+    for attempt in range(SANDWICH_ATTEMPTS):
         err_unif = lip * m1 / t
         delta1 = err_unif / cover_min
         # tail domination: outside K the mollified f sits below
@@ -368,7 +376,7 @@ def band_limited_sandwich(f: Optional[PiecewiseLinear], eps: float,
         t *= 2.0
     raise RuntimeError(
         f"sandwich gap bound {gap_bound:.3g} did not reach eps={eps} "
-        f"within {max_iterations} contraction doublings"
+        f"within {SANDWICH_ATTEMPTS} contraction doublings"
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -143,25 +143,19 @@ def levy_area_reference(rng: np.random.Generator, n_samples: int,
 # -- kernel density estimation ---------------------------------------------------
 
 
-def scott_bandwidth(samples: np.ndarray, factor: float = 1.0) -> np.ndarray:
-    n, d = samples.shape
-    return factor * samples.std(axis=0, ddof=1) * n ** (-1.0 / (d + 4))
-
-
 def kde_density(samples: np.ndarray, point: Sequence[float],
-                bandwidth: Optional[np.ndarray] = None,
                 bandwidth_factor: float = 1.0) -> dict:
     """Product-Gaussian kernel estimate of the density at one point.
 
-    Returns the estimate, its Monte Carlo standard error, and the
-    bandwidth actually used.  Needs a healthy sample count; the caller
-    sees the stderr and can judge.
+    The bandwidth is Scott's rule times ``bandwidth_factor``.  Returns the
+    estimate, its Monte Carlo standard error, and that bandwidth.  Needs a
+    healthy sample count; the caller sees the stderr and can judge.
     """
     samples = np.asarray(samples, dtype=float)
     n, d = samples.shape
     if n < KDE_MIN_SAMPLES:
         raise ValueError("kernel density estimate needs at least 1e4 samples")
-    h = scott_bandwidth(samples, bandwidth_factor) if bandwidth is None else np.asarray(bandwidth)
+    h = bandwidth_factor * samples.std(axis=0, ddof=1) * n ** (-1.0 / (d + 4))
     z = (samples - np.asarray(point, dtype=float)) / h
     kernel = np.exp(-0.5 * (z**2).sum(axis=1)) / ((2 * np.pi) ** (d / 2) * h.prod())
     est = float(kernel.mean())

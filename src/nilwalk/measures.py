@@ -34,6 +34,7 @@ from .filtration import WeightFiltration
 from .ratlinalg import fracvec, vec_mat
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+REFINE_ROUNDS = 3  # golden-section rounds of gap_function
 
 
 # -- scalar factor laws ------------------------------------------------------
@@ -96,6 +97,7 @@ class TwoPoint1D:
     p: float = 0.5
 
     def sample(self, rng, size, out=None):
+        # not an Atoms1D: that gives the same bits 3.5x slower (22 vs 6.4 ns/row)
         return _into(out, np.where(rng.random(size) < self.p, self.a, self.b))
 
     def char(self, xi):
@@ -163,7 +165,6 @@ class Measure:
     """Common interface: sampling, exact-ish moments, abelianized transform."""
 
     algebra: NilpotentAlgebra
-    aperiodic: bool
 
     def sample(self, rng: np.random.Generator, size: int,
                out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -199,8 +200,7 @@ class Measure:
 class AtomicMeasure(Measure):
     """Finitely many atoms at exact rational points."""
 
-    def __init__(self, algebra: NilpotentAlgebra, points: Sequence[Sequence], weights: Sequence,
-                 aperiodic: bool = True):
+    def __init__(self, algebra: NilpotentAlgebra, points: Sequence[Sequence], weights: Sequence):
         self.algebra = algebra
         self.points: tuple[ExactVector, ...] = tuple(fracvec(p) for p in points)
         self.weights: tuple[Fraction, ...] = tuple(Fraction(w) for w in weights)
@@ -212,7 +212,6 @@ class AtomicMeasure(Measure):
             raise ValueError("weights must be nonnegative")
         if any(len(p) != algebra.dim for p in self.points):
             raise ValueError("atom dimension mismatch")
-        self.aperiodic = aperiodic
         self.pts = np.array([[float(c) for c in p] for p in self.points])
         self._cum = np.cumsum([float(w) for w in self.weights])
 
@@ -247,12 +246,11 @@ class AtomicMeasure(Measure):
 class ProductMeasure(Measure):
     """Independent scalar laws, one per original coordinate."""
 
-    def __init__(self, algebra: NilpotentAlgebra, factors: Sequence, aperiodic: bool = True):
+    def __init__(self, algebra: NilpotentAlgebra, factors: Sequence):
         if len(factors) != algebra.dim:
             raise ValueError("need one factor per coordinate")
         self.algebra = algebra
         self.factors = tuple(factors)
-        self.aperiodic = aperiodic
 
     def sample(self, rng, size, out=None):
         """Factor-major draws.  ``out`` with contiguous columns, such as the
@@ -285,7 +283,6 @@ class AffineImage(Measure):
         self.algebra = base.algebra
         self.matrix = np.asarray(matrix, dtype=float)
         self.shift = np.asarray(shift, dtype=float)
-        self.aperiodic = base.aperiodic
 
     def sample(self, rng, size, out=None):
         return _into(out, self.base.sample(rng, size) @ self.matrix + self.shift)
@@ -439,7 +436,7 @@ def truncated_atoms(tm: TruncatedMeasure) -> AtomicMeasure:
             for i, j in enumerate(layers[b]):  # layer 1 becomes t X + c, t = 0 if layer 2 clipped
                 c[j] = Fraction(0) if b > 1 else tm.c_vector_exact[i] + (0 if 2 in bad else x[i])
         new_points.append(wf.from_adapted(c))
-    return AtomicMeasure(base.algebra, new_points, base.weights, base.aperiodic)
+    return AtomicMeasure(base.algebra, new_points, base.weights)
 
 
 # -- weight-layer moments ----------------------------------------------------------
@@ -484,7 +481,7 @@ def _char_modulus_ab(measure: Measure, filtration: WeightFiltration, pts: np.nda
 
 
 def gap_function(measure: Measure, filtration: WeightFiltration, c: float, R: float,
-                 grid_per_axis: int = 64, refine_rounds: int = 3) -> dict:
+                 grid_per_axis: int = 64) -> dict:
     """c * inf(1 - |char_ab|) over the dual annulus c <= |xi| <= (1+R)/c.
 
     Coarse box grid restricted to the annulus, then a few rounds of
@@ -530,7 +527,7 @@ def gap_function(measure: Measure, filtration: WeightFiltration, c: float, R: fl
         return float(1.0 - _char_modulus_ab(measure, filtration, pt[None, :])[0])
 
     step = (r_hi - r_lo) / grid_per_axis
-    for _ in range(refine_rounds):
+    for _ in range(REFINE_ROUNDS):
         for axis in range(d):
             lo = best_pt.copy(); lo[axis] -= step
             hi = best_pt.copy(); hi[axis] += step
@@ -558,7 +555,7 @@ def gap_function(measure: Measure, filtration: WeightFiltration, c: float, R: fl
         "argmin": best_pt.tolist(),
         "annulus": [r_lo, r_hi],
         "grid_per_axis": grid_per_axis,
-        "refine_rounds": refine_rounds,
+        "refine_rounds": REFINE_ROUNDS,
     }
 
 

@@ -85,9 +85,9 @@ def cesaro_equidistribution(measure: Measure, n_steps: int, n_replicas: int,
     the maximum over cells of |empirical mass - exact volume|; the
     relative version (scaled by the cell count) is reported alongside.
 
-    The walk runs in blocks of about BLOCK_ROWS replica-steps: the
-    increments of a block are drawn by one ``sample_steps`` call, and the
-    positions before each step are folded and counted once per block.
+    The walk runs in blocks of about BLOCK_ROWS replica-steps: one
+    ``sample_steps`` call draws the increments, each step's products go to
+    the next row of a buffer, and its rows are folded and counted per block.
     Blocks end at checkpoints, and the draws equal one ``sample`` call per
     step, so the report does not depend on the block size.
     """
@@ -108,9 +108,9 @@ def cesaro_equidistribution(measure: Measure, n_steps: int, n_replicas: int,
     product = algebra.product_map()
     n_cells = cells_per_axis**3
     counts = np.zeros(n_cells, dtype=np.int64)
-    s = np.zeros((n_replicas, 3)) if start is None else np.tile(start, (n_replicas, 1))
     block = max(1, BLOCK_ROWS // n_replicas)
-    visited = np.empty((block, n_replicas, 3))  # positions before each step of a block
+    visited = np.empty((block + 1, n_replicas, 3))  # row k: the positions before step k of a block
+    visited[0] = 0.0 if start is None else start
     results = {}
     done = 0
     for cp in checkpoints:
@@ -118,10 +118,10 @@ def cesaro_equidistribution(measure: Measure, n_steps: int, n_replicas: int,
             steps = min(block, cp - done)
             incs = measure.sample_steps(rng, steps, n_replicas).reshape(steps, n_replicas, 3)
             for k in range(steps):
-                visited[k] = s
-                s = product(s, incs[k])
+                product(visited[k], incs[k], out=visited[k + 1])
             idx = cell_index(fold_second_kind(visited[:steps].reshape(-1, 3)), cells_per_axis)
             counts += np.bincount(idx, minlength=n_cells)
+            visited[0] = visited[steps]  # the next block starts where this one ended
             done += steps
         total = counts.sum()
         emp = counts / total

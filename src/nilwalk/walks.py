@@ -86,11 +86,11 @@ class ExperimentResult:
         and ``extra`` both nested and spread at the top level."""
         return self.extra | vars(self) | {"N": self.n_steps, "M": self.n_replicas}
 
-    def allowance(self, rel_tol: float, sigmas: float = 3.0) -> float:
-        """max(sigmas * stderr, rel_tol * |target|)."""
-        return max(sigmas * self.stderr, rel_tol * abs(self.target))
+    def allowance(self, rel_tol: float) -> float:
+        """max(3 * stderr, rel_tol * |target|)."""
+        return max(3.0 * self.stderr, rel_tol * abs(self.target))
 
-    def within(self, rel_tol: float, sigmas: float = 3.0) -> bool:
+    def within(self, rel_tol: float) -> bool:
         """Noise-aware acceptance rule: |estimate - target| <= allowance.
 
         A non-finite estimate or stderr (a ratio whose limit bank has no hit)
@@ -100,7 +100,7 @@ class ExperimentResult:
             raise ValueError("no target recorded")
         if not (math.isfinite(self.estimate) and math.isfinite(self.stderr)):
             return False
-        return abs(self.estimate - self.target) <= self.allowance(rel_tol, sigmas)
+        return abs(self.estimate - self.target) <= self.allowance(rel_tol)
 
 
 # -- configuration ----------------------------------------------------------------
@@ -162,7 +162,7 @@ def recentering_vector_adapted(cfg: WalkConfig) -> np.ndarray:
     y_ad = wf.to_adapted_float(np.asarray(cfg.variable_shift, dtype=float))
     scale = np.power(float(cfg.n_steps), wf.weights_array / 2.0)
     prod = wf.adapted_algebra.product_map()
-    return prod(shift[None, :], (-scale * y_ad)[None, :])[0]
+    return prod(shift, -scale * y_ad)
 
 
 # -- the fold engine -----------------------------------------------------------------
@@ -183,7 +183,8 @@ class Plan:
 
 
 class _Inline:
-    """The one-worker pool: a job runs as it is submitted."""
+    """The one-worker pool: a job runs as it is submitted (a one-thread
+    pool made deep-clt wall 0.117 -> 0.138 s and peak RSS 49.4 -> 52.2 MB)."""
 
     def submit(self, fn, *args) -> Future:
         future = Future()
@@ -467,10 +468,11 @@ def ratio_experiment(cfg: WalkConfig, box: Sequence[tuple[float, float]],
     h_ad = None if h is None else wf.to_adapted_float(np.asarray(h, dtype=float))[None, :]
 
     def hits(z: np.ndarray) -> int:
+        """Box hits of g * z * h, translated in place: z is scratch."""
         if g_ad is not None:
-            z = prod(np.broadcast_to(g_ad, z.shape), z)
+            prod(g_ad, z, out=z)
         if h_ad is not None:
-            z = prod(z, np.broadcast_to(h_ad, z.shape))
+            prod(z, h_ad, out=z)
         return int(inside(wf.from_adapted_float(z)).sum())
 
     def finish(hits_per_chunk: list[int]) -> ExperimentResult:
@@ -554,7 +556,7 @@ def pixel_experiment(cfg: WalkConfig, nu_samples_adapted: np.ndarray | Future,
         shift = cfg.n_steps * drift_vector_adapted(cfg)
         z = _bank(nu_samples_adapted) * dil
         if np.any(shift):
-            z = prod(z, shift[None, :])
+            prod(z, shift[None, :], out=z)
         znat = wf.from_adapted_float(z)
         nu_means = np.array([float(f(znat).mean()) for _, f in tests])
 

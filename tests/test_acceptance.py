@@ -311,7 +311,6 @@ def test_06_fourier_domain_reduction():
 
     lattice = AtomicMeasure(
         HEIS, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], [F(1, 4)] * 4,
-        aperiodic=False,
     )
     cfg_lat = WalkConfig(CENTERED, lattice, n_steps=256, n_replicas=20_000, seed=20240699)
     rep_lat = empirical_char_many(cfg_lat, [FrequencyPoint((1.0, 0.0, 0.0))])

@@ -379,6 +379,31 @@ def test_compiled_kernel_has_the_numpy_kernels_bits(name):
                         assert np.ascontiguousarray(b).tobytes() == want
 
 
+@pytest.mark.parametrize("name", sorted(GUARD_ALGEBRAS))
+def test_an_allocating_product_writes_a_new_c_ordered_array(name):
+    """The one output rule: without out, either kernel returns a new
+    C-contiguous array of the broadcast shape of x and y, with the bytes of
+    the call that writes into a given out.  (n, d) by (n, d), (1, d) by
+    (n, d) and back, and (d,) by (d,); x row-major and coordinate-major;
+    one pass and more.  Only the numpy kernel runs without a compiler."""
+    alg = GUARD_ALGEBRAS[name]()
+    kernels = [k for k in alg.product_kernels if k is not None]
+    assert len(kernels) == (2 if c_compiler() is not None and alg.step > 1 else 1)
+    rng = np.random.default_rng(37)
+    d = alg.dim
+    for n in (5, BLOCK_ROWS + 1):
+        for shapes in [((n, d), (n, d)), ((n, d), (1, d)), ((1, d), (n, d)), ((d,), (d,))]:
+            x, y = (rng.uniform(-2, 2, shape) for shape in shapes)
+            for x in (x, x.T.copy().T):
+                for kernel in kernels:
+                    out = np.empty(np.broadcast_shapes(*shapes))
+                    assert kernel(x, y, out=out) is out
+                    got = kernel(x, y)
+                    assert got.shape == out.shape and got.flags.c_contiguous
+                    assert not np.shares_memory(got, x) and not np.shares_memory(got, y)
+                    assert got.tobytes() == out.tobytes()
+
+
 @needs_compiler
 @pytest.mark.parametrize("name", ["heisenberg3", "filiform4", "free(2,3)"])
 def test_compiled_kernel_equals_bch_exact_where_floats_are_exact(name):

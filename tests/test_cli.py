@@ -230,6 +230,7 @@ WALK_DIGESTS = {
         "ratio": "9ab87aaed3f9f96ca245cb0cf4121b13c7d85275821a98a5bcb93ba813ae175a",
         "pixel": "a71e7649ce9e333a9ca8ed717d8c10ab801afce460ef5cbbbfc28cb377a248a7",
         "theta": "8ed7704fe752f883ea486be38d17030b2a1b29c9fffabd91c5d0a9aa755da28c",
+        "ratio-gh": "ee3e3f4f7ea89d9aef92afcdd2e65e137793340bd3123d6b1ffd076b14f10b1d",
     },
     "free-nilpotent(2,3)+e1": {
         "llt": "a19144c0d89b23b532d3fe61e1b2d9d5422400e5c7b6c0d9f70c44d183e7e34d",
@@ -237,39 +238,58 @@ WALK_DIGESTS = {
         "ratio": "559bcba8c1d7621fef58a76919cd026c037dd512fd065638327a99d8a81e7cc8",
         "pixel": "ca6b7af8f2c51bdd5e7ca8caf0dd63cb17d3fc7b7ff31d699baa37938cbca7a2",
         "theta": "30e1daa8d649e231fc3d44fdbfd670ae0a6ac5fd959d818446a7848d1e1404da",
+        "ratio-gh": "d4978dd28e0eae72ff40fc97c1a80d2507fac7f84cec23d8ca8dc89480f7b429",
     },
+}
+# the g and h that "ratio-gh", walk ratio with translations, adds to each
+# config; its digests were recorded before the translations were written in place
+RATIO_TRANSLATIONS = {
+    "heisenberg3": ([0.3, -0.2, 0.1], [-0.4, 0.5, 0.2]),
+    "free-nilpotent(2,3)+e1": ([0.3, -0.2, 0.1, 0.05, -0.15], [-0.4, 0.5, 0.2, -0.1, 0.25]),
 }
 
 
-@pytest.mark.parametrize("mode", list(WALK_MODES))
+@pytest.mark.parametrize("mode", list(WALK_DIGESTS["heisenberg3"]))
 @pytest.mark.parametrize("algebra", list(GRID_WALKS))
 def test_walk_csv_bodies_are_pinned(tmp_path, monkeypatch, algebra, mode):
     from nilwalk import cli
 
     monkeypatch.setattr(cli, "WalkConfig", functools.partial(walks.WalkConfig, chunk_size=700))
-    base = GRID_WALKS[algebra]
+    base, digest = GRID_WALKS[algebra], WALK_DIGESTS[algebra][mode]
+    params = base["params"] | {"recenter": "mean", "diffusion_steps": 8, "nu_samples": 2_000}
+    if mode == "ratio-gh":
+        mode, (params["g"], params["h"]) = "ratio", RATIO_TRANSLATIONS[algebra]
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(base | {"seed": 47, "M": 1_500, "N_grid": [6, 3], "params": (
-        base["params"] | {"recenter": "mean", "diffusion_steps": 8, "nu_samples": 2_000})}))
+    path.write_text(json.dumps(base | {"seed": 47, "M": 1_500, "N_grid": [6, 3], "params": params}))
     for workers in ("1", "2"):
         out = tmp_path / f"out{workers}.csv"
         assert main(["--workers", workers, "walk", mode, "--config", str(path),
                      "--out", str(out)]) == 0
         body = out.read_bytes().split(b"\n", 1)[1]
-        assert hashlib.sha256(body).hexdigest() == WALK_DIGESTS[algebra][mode], workers
+        assert hashlib.sha256(body).hexdigest() == digest, workers
 
 
-@pytest.mark.parametrize("algebra", list(GRID_WALKS))
-def test_walk_clt_keeps_its_pinned_body_on_the_numpy_kernel(tmp_path, monkeypatch,
-                                                            numpy_fallback, algebra):
+def pinned_on_the_numpy_kernel(tmp_path, monkeypatch, algebra, mode):
     from nilwalk.algebra import NilpotentAlgebra
 
     compiled = []
     product_map = NilpotentAlgebra.product_map
     monkeypatch.setattr(NilpotentAlgebra, "product_map", lambda self: (
         compiled.append(self.product_kernels[1]), product_map(self))[1])
-    test_walk_csv_bodies_are_pinned(tmp_path, monkeypatch, algebra, "clt")
+    test_walk_csv_bodies_are_pinned(tmp_path, monkeypatch, algebra, mode)
     assert compiled and not any(compiled)
+
+
+@pytest.mark.parametrize("algebra", list(GRID_WALKS))
+def test_walk_clt_keeps_its_pinned_body_on_the_numpy_kernel(tmp_path, monkeypatch,
+                                                            numpy_fallback, algebra):
+    pinned_on_the_numpy_kernel(tmp_path, monkeypatch, algebra, "clt")
+
+
+@pytest.mark.parametrize("algebra", list(GRID_WALKS))
+def test_walk_ratio_translations_keep_their_pinned_body_on_the_numpy_kernel(
+        tmp_path, monkeypatch, numpy_fallback, algebra):
+    pinned_on_the_numpy_kernel(tmp_path, monkeypatch, algebra, "ratio-gh")
 
 
 # SHA-256 of each summary's "runs" without "wall_time", as sorted-key JSON, on

@@ -84,7 +84,6 @@ def test_scan_decay_and_lattice_control(heis_centered, heis_gauss):
     h = heis_centered.algebra
     lattice = AtomicMeasure(
         h, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], [F(1, 4)] * 4,
-        aperiodic=False,
     )
     resonant = [FrequencyPoint((1.0, 0.0, 0.0))]
     rep2 = reduced_domain_scan(heis_centered, lattice, resonant, [16, 64],

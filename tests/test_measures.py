@@ -242,7 +242,7 @@ def test_gap_standard_gaussian(line):
 
 def test_gap_lattice_law_vanishes(line):
     a, wf = line
-    lat = AtomicMeasure(a, [(0,), (1,)], [F(1, 2), F(1, 2)], aperiodic=False)
+    lat = AtomicMeasure(a, [(0,), (1,)], [F(1, 2), F(1, 2)])
     assert gap_function(lat, wf, 0.5, 2.0)["gap"] < 1e-8
 
 
@@ -285,7 +285,7 @@ def test_scan_gaussian_clean(line):
 
 def test_scan_flags_integer_lattice(line):
     a, wf = line
-    lat = AtomicMeasure(a, [(0,), (1,), (2,)], [F(1, 3)] * 3, aperiodic=False)
+    lat = AtomicMeasure(a, [(0,), (1,), (2,)], [F(1, 3)] * 3)
     rep = aperiodicity_scan(lat, wf, radius=5.0, grid_per_axis=101)
     assert rep["n_flagged"] > 0
 

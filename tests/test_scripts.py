@@ -19,7 +19,9 @@ SCRIPTS = {
     "levy_area_density.py": ["--samples", "10000", "--time-steps", "16"],
     "nilmanifold_equid.py": ["--steps", "200", "--replicas", "10", "--cells", "4"],
 }
-WRITES_CSV = {"fourier_decay.py"}
+# the CSV header each --out script writes; fourier_decay's xi and inside tell
+# the rows of one N apart
+WRITES_CSV = {"fourier_decay.py": HEADER + ",xi,inside"}
 
 
 def run_python(args, cwd):
@@ -44,8 +46,11 @@ def test_script_runs(script, tmp_path):
     if script in WRITES_CSV:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("#")
-        assert lines[1] == HEADER
+        assert lines[1] == WRITES_CSV[script]
         assert len(lines) > 2
+        columns = lines[1].split(",")
+        rows = [dict(zip(columns, line.split(","))) for line in lines[2:]]
+        assert len({(r["N"], r["xi"]) for r in rows}) == len(rows)
 
 
 def test_levy_area_density_rejects_too_few_samples(tmp_path):
