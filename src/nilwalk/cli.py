@@ -180,17 +180,17 @@ def _box(params: dict, dim: int, half: float) -> list[tuple]:
     return [tuple(b) for b in params.get("box", [[-half, half]] * dim)]
 
 
-# mode -> (keeps the configured recentering, needs the limit-law bank, plan);
-# a plan maps (walk config, params, bank, digest) to the experiment's walks.Plan
+# mode -> (needs the limit-law bank, plan); a plan maps (walk config, params,
+# bank, digest) to the experiment's walks.Plan
 WALK_MODES = {
-    "llt": (True, False, lambda w, p, nu, d: llt_box_experiment.plan(
+    "llt": (False, lambda w, p, nu, d: llt_box_experiment.plan(
         w, _box(p, w.algebra.dim, 0.5), config_digest=d)),
-    "clt": (True, False, lambda w, p, nu, d: clt_experiment.plan(
+    "clt": (False, lambda w, p, nu, d: clt_experiment.plan(
         w, histogram_bins=int(p.get("histogram_bins", 0)), config_digest=d)),
-    "ratio": (False, True, lambda w, p, nu, d: ratio_experiment.plan(
+    "ratio": (True, lambda w, p, nu, d: ratio_experiment.plan(
         w, _box(p, w.algebra.dim, 2.0), nu, g=p.get("g"), h=p.get("h"), config_digest=d)),
-    "pixel": (False, True, lambda w, p, nu, d: pixel_experiment.plan(w, nu, config_digest=d)),
-    "theta": (False, False, lambda w, p, nu, d: theta_experiment.plan(
+    "pixel": (True, lambda w, p, nu, d: pixel_experiment.plan(w, nu, config_digest=d)),
+    "theta": (False, lambda w, p, nu, d: theta_experiment.plan(
         w, float(p.get("gamma0", 0.2)), config_digest=d)),
 }
 
@@ -198,14 +198,11 @@ WALK_MODES = {
 def cmd_walk(args) -> int:
     cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed)
     params = cfg.params
-    recentered, needs_bank, plan = WALK_MODES[args.mode]
-    wcfgs = []
-    for n in cfg.n_grid:
-        # built as configured in every mode, so a bad recenter / Y fails everywhere
-        wcfg = WalkConfig(cfg.filtration, cfg.measure, n, cfg.n_replicas, seed=cfg.seed,
-                          recenter=params.get("recenter", "mean"),
-                          variable_shift=params.get("Y"), workers=args.workers)
-        wcfgs.append(wcfg if recentered else dataclasses.replace(wcfg, recenter="none"))
+    needs_bank, plan = WALK_MODES[args.mode]
+    wcfgs = [WalkConfig(cfg.filtration, cfg.measure, n, cfg.n_replicas, seed=cfg.seed,
+                        recenter=params.get("recenter", "mean"),
+                        variable_shift=params.get("Y"), workers=args.workers)
+             for n in cfg.n_grid]
     with job_pool(args.workers) as pool:
         nu = None
         if needs_bank:

@@ -91,11 +91,6 @@ class WeightFiltration:
             return self.ideals[i - 1]
         return Subspace.zero(self.algebra.dim)
 
-    def supplement(self, i: int) -> Subspace:
-        if 1 <= i <= len(self.supplements):
-            return self.supplements[i - 1]
-        return Subspace.zero(self.algebra.dim)
-
     @property
     def max_weight(self) -> int:
         return max(self.weights)

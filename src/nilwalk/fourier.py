@@ -48,9 +48,6 @@ class FrequencyPoint:
         mask = filtration.weights_array >= depth
         return float(np.linalg.norm(xi[mask]))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.xi))
-
     def inside_reduced_domain(self, filtration: WeightFiltration, n_steps: int,
                               gamma0: float) -> bool:
         for b in range(1, filtration.max_weight + 1):

@@ -118,11 +118,6 @@ class Subspace:
             return None
         return tuple(coeffs)
 
-    def add(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
-
     def spanned_with(self, vectors: Iterable[Sequence]) -> "Subspace":
         return Subspace(self.ambient_dim, list(self.basis) + [fracvec(v) for v in vectors])
 

@@ -21,11 +21,14 @@ bit-identical estimates no matter how many workers run.
 
 Recentering modes: none, right translation by -N*X (mean recentering), or
 the variable version -N*X * -D_sqrt(N) Y that aims the window at density
-point Y.  The gradually truncated walk differs from the plain one only in
-that each increment first passes the clip that ``measures.truncate`` builds
-for its schedule level, lifted to the drift extension; chunk plan, streams,
-workers and recentering are shared, so for compactly supported laws and
-large N the two coincide bit for bit.
+point Y.  ``centring`` decides this once for every experiment: it gives the
+walk's translation r and the translation t = N X * r of the dilated limit
+sample, so ratio and pixel compare the two laws at the same place.  The
+gradually truncated walk differs from the plain one only in that each
+increment first passes the clip that ``measures.truncate`` builds for its
+schedule level, lifted to the drift extension; chunk plan, streams, workers
+and recentering are shared, so for compactly supported laws and large N the
+two coincide bit for bit.
 
 Every experiment returns one ``ExperimentResult``: an estimate, its
 standard error and an optional target, with the experiment's own values
@@ -151,18 +154,20 @@ def drift_vector_adapted(cfg: WalkConfig) -> np.ndarray:
     return np.where(wf.layer_mask(1), mean_ad, 0.0)
 
 
-def recentering_vector_adapted(cfg: WalkConfig) -> np.ndarray:
-    """The right-translation applied to every product, adapted coordinates."""
+def centring(cfg: WalkConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The right translations (r, t), adapted coordinates, of the walk's
+    product and of the dilated limit sample, with t = N X * r: none gives
+    (0, N X), mean (-N X, 0), variable (-N X * -D_sqrt(N) Y, -D_sqrt(N) Y).
+    Each t is built on its own, so mean's is exactly zero."""
     wf = cfg.filtration
+    nx = cfg.n_steps * drift_vector_adapted(cfg)
     if cfg.recenter == "none":
-        return np.zeros(wf.algebra.dim)
-    shift = -cfg.n_steps * drift_vector_adapted(cfg)
+        return np.zeros(wf.algebra.dim), nx
     if cfg.recenter == "mean":
-        return shift
+        return -nx, np.zeros(wf.algebra.dim)
     y_ad = wf.to_adapted_float(np.asarray(cfg.variable_shift, dtype=float))
-    scale = np.power(float(cfg.n_steps), wf.weights_array / 2.0)
-    prod = wf.adapted_algebra.product_map()
-    return prod(shift, -scale * y_ad)
+    t = -np.power(float(cfg.n_steps), wf.weights_array / 2.0) * y_ad
+    return wf.adapted_algebra.product_map()(-nx, t), t
 
 
 # -- the fold engine -----------------------------------------------------------------
@@ -237,7 +242,7 @@ def _fold_job(plans: Sequence[Plan], m: int, rng: np.random.Generator) -> list[t
         # products: the reduce sums in its usual order, and no array is added
         z = buf.reshape(m, -1)
         np.copyto(z, s.T)
-        shift = recentering_vector_adapted(plan.cfg)
+        shift = centring(plan.cfg)[0]
         if np.any(shift):
             product(z, shift[None, :], out=z)
         done.append((plan.reduce(z, clipped), time.perf_counter() - t0))
@@ -442,10 +447,18 @@ def clt_experiment(cfg: WalkConfig, histogram_bins: int = 0,
     return Plan(cfg, reduce, finish)
 
 
-def _bank(nu_samples_adapted) -> np.ndarray:
-    """The limit-law bank, or the result of the job that builds it."""
-    return nu_samples_adapted.result() if isinstance(nu_samples_adapted, Future) \
+def limit_sample(cfg: WalkConfig, nu_samples_adapted: np.ndarray | Future) -> np.ndarray:
+    """D_sqrt(N) of the limit-law bank, right-translated by the centring's t,
+    so that it sits where the walk's translated product does.  The bank may
+    be the future of the job that builds it; a zero t runs no product."""
+    wf = cfg.filtration
+    bank = nu_samples_adapted.result() if isinstance(nu_samples_adapted, Future) \
         else nu_samples_adapted
+    z = bank * np.power(float(cfg.n_steps), wf.weights_array / 2.0)
+    t = centring(cfg)[1]
+    if np.any(t):
+        wf.adapted_algebra.product_map()(z, t[None, :], out=z)
+    return z
 
 
 @experiment
@@ -456,10 +469,14 @@ def ratio_experiment(cfg: WalkConfig, box: Sequence[tuple[float, float]],
                      config_digest: str = "") -> Plan:
     """Ratio of walk and limit-law masses of a common translated box.
 
-    Numerator: P(g * S_N * h in box) from the walk.  Denominator: the same
-    probability with S_N replaced by D_sqrt(N) of a limit sample.  The
-    standard error combines both sides by the delta method.  The bank may
-    be the future of the job that builds it; it is read after the walk.
+    Numerator: P(g * S_N r * h in box) from the walk.  Denominator: the
+    same probability with S_N r replaced by ``limit_sample``'s D_sqrt(N) of
+    a limit sample times t; (r, t) is the config's ``centring``.  The
+    standard error combines both sides by the delta method and, as in llt,
+    counts a walk side with no hit as one hit.  The bank may be the future
+    of the job that builds it; it is read after the walk.  With recenter
+    none on a drifted law both sides sit at N X, far out in the limit's
+    tail for a box near the origin, and the ratio has little power.
     """
     wf = cfg.filtration
     prod = wf.adapted_algebra.product_map()
@@ -479,8 +496,7 @@ def ratio_experiment(cfg: WalkConfig, box: Sequence[tuple[float, float]],
         hits_walk = sum(hits_per_chunk)
         m_walk = cfg.n_replicas
         p_walk = hits_walk / m_walk
-        dil = np.power(float(cfg.n_steps), wf.weights_array / 2.0)
-        scaled = _bank(nu_samples_adapted) * dil
+        scaled = limit_sample(cfg, nu_samples_adapted)
         hits_nu = hits(scaled)
         m_nu = scaled.shape[0]
         p_nu = hits_nu / m_nu
@@ -491,7 +507,7 @@ def ratio_experiment(cfg: WalkConfig, box: Sequence[tuple[float, float]],
             rel = math.sqrt(
                 max(1 - p_walk, 0.0) / max(hits_walk, 1) + max(1 - p_nu, 0.0) / hits_nu
             )
-            se = ratio * rel
+            se = max(hits_walk, 1) / m_walk / p_nu * rel
         return ExperimentResult(
             experiment="ratio", n_steps=cfg.n_steps, n_replicas=m_walk,
             estimate=ratio, stderr=se, target=1.0, seed=cfg.seed,
@@ -533,13 +549,12 @@ def pixel_experiment(cfg: WalkConfig, nu_samples_adapted: np.ndarray | Future,
                      config_digest: str = "") -> Plan:
     """Gap between walk and dilated-limit expectations of Lipschitz tests.
 
-    The limit side evaluates F on D_sqrt(N)(limit sample) * N X, matching
-    the walk without recentering.  The estimate is the largest gap, against
+    The walk side evaluates F on the recentered product S_N r, the limit
+    side on ``limit_sample``'s D_sqrt(N)(limit sample) * t, with (r, t) the
+    config's ``centring``.  The estimate is the largest gap, against
     target 0, with the noise scale 1/sqrt(M) + 1/sqrt(bank size) as stderr.
     """
     wf = cfg.filtration
-    if cfg.recenter != "none":
-        raise ValueError("pixel comparison expects the raw walk (recenter='none')")
     if tests is None:
         tests = lipschitz_family(wf, 6, seed=cfg.seed + 101)
 
@@ -550,13 +565,7 @@ def pixel_experiment(cfg: WalkConfig, nu_samples_adapted: np.ndarray | Future,
     def finish(parts: list[tuple[np.ndarray, int]]) -> ExperimentResult:
         sums, count = totals(parts)
         walk_means = sums / count
-
-        dil = np.power(float(cfg.n_steps), wf.weights_array / 2.0)
-        prod = wf.adapted_algebra.product_map()
-        shift = cfg.n_steps * drift_vector_adapted(cfg)
-        z = _bank(nu_samples_adapted) * dil
-        if np.any(shift):
-            prod(z, shift[None, :], out=z)
+        z = limit_sample(cfg, nu_samples_adapted)
         znat = wf.from_adapted_float(z)
         nu_means = np.array([float(f(znat).mean()) for _, f in tests])
 

@@ -222,7 +222,9 @@ def test_a_grid_walk_gives_the_rows_of_its_one_n_walks(tmp_path, monkeypatch, al
 # SHA-256 of each walk mode's CSV body (the lines after the '#' timestamp) on
 # the GRID_WALKS configs with mean recentering, seed 47, M = 1500 in chunks of
 # 700 rows and N_grid [6, 3], recorded before the small-M stream helpers of
-# walks were deleted
+# walks were deleted; the drifted config's ratio, pixel and ratio-gh were
+# recorded again when every mode began to run the configured recentering and
+# the limit sample to follow the walk's centring
 WALK_DIGESTS = {
     "heisenberg3": {
         "llt": "0a45a6eff1ef3c536b207b9bfdbd0e849c3752d3602d25b607f2f30aac717de7",
@@ -235,10 +237,10 @@ WALK_DIGESTS = {
     "free-nilpotent(2,3)+e1": {
         "llt": "a19144c0d89b23b532d3fe61e1b2d9d5422400e5c7b6c0d9f70c44d183e7e34d",
         "clt": "1daf2e9ab072af73225b442fe6193cc2729c114c19a3604459ad669f44cff822",
-        "ratio": "559bcba8c1d7621fef58a76919cd026c037dd512fd065638327a99d8a81e7cc8",
-        "pixel": "ca6b7af8f2c51bdd5e7ca8caf0dd63cb17d3fc7b7ff31d699baa37938cbca7a2",
+        "ratio": "88fa77b7e6bf9599d6e7afa98382f787c0cefd4b36822fb215b923d06bfc7318",
+        "pixel": "7562681cc6dcfc42c0589e4e7d46e699c205f17c38b7cddf762cc36a50f70c8d",
         "theta": "30e1daa8d649e231fc3d44fdbfd670ae0a6ac5fd959d818446a7848d1e1404da",
-        "ratio-gh": "d4978dd28e0eae72ff40fc97c1a80d2507fac7f84cec23d8ca8dc89480f7b429",
+        "ratio-gh": "dd1fa219da81bbc9e3937821afad7ae0442b2d2256365c04dcca254be31cd191",
     },
 }
 # the g and h that "ratio-gh", walk ratio with translations, adds to each
@@ -294,7 +296,8 @@ def test_walk_ratio_translations_keep_their_pinned_body_on_the_numpy_kernel(
 
 # SHA-256 of each summary's "runs" without "wall_time", as sorted-key JSON, on
 # the configs of WALK_DIGESTS, recorded before theta's truncations came from
-# measures.truncate
+# measures.truncate; the drifted config's ratio, pixel and theta were recorded
+# again when every mode began to run the configured recentering
 SUMMARY_DIGESTS = {
     "heisenberg3": {
         "llt": "66a301e897fede18d54ff6f5d6e0ecca47865b36e8d7e1dbc011943fa8a4144e",
@@ -306,9 +309,9 @@ SUMMARY_DIGESTS = {
     "free-nilpotent(2,3)+e1": {
         "llt": "058a013b034a4a0f182d063996d245a4a6c665497c9d652b1a2e59fdc7b1d08c",
         "clt": "b5c1f2a811c783167af67030a7f6ae3d03aa0f8c7bd741c575e9bd6c08284a0d",
-        "ratio": "0bede655742af77516d9c370cf433705cef92295ac518147416c5cbb6ceeab57",
-        "pixel": "842e38d8f1c1619023c23414dbc9dd6e776d4840689652d342f345540e8d04ea",
-        "theta": "e5f8a6b044a5c4f2efc77e3c04ee5867014eecdb0f95fb5e27a9b773b3ad10a5",
+        "ratio": "f2fd7d9a8bce3a668081c81ccb03bb9af43d35244775f8b51ee4659c9de6344a",
+        "pixel": "b72bfbfe07fa5da011dc893a5c6cad7915122c5ff84446f953febdb17f2e97b8",
+        "theta": "4ff6012bdf1ae15a08c2c1483d86be360d8c82f6f1cf2af4773f8c17f3f27faa",
     },
 }
 
@@ -518,6 +521,22 @@ def test_bad_recentering_is_a_validation_error_in_every_mode(tmp_path, heis_conf
     cfg["params"] |= {"recenter": "sideways", "diffusion_steps": 4}
     heis_config.write_text(json.dumps(cfg))
     assert main(["walk", mode, "--config", str(heis_config)]) == 3
+
+
+@pytest.mark.parametrize("mode", list(WALK_MODES))
+def test_mean_recentering_of_a_centred_law_changes_no_row(tmp_path, heis_config, mode):
+    """Every mode runs the configured recentering; on a centred law mean
+    recentering translates neither the walk nor the limit sample, so the rows
+    equal those of recenter none but for the config digest."""
+    bodies = []
+    for recenter in ("none", "mean"):
+        cfg = json.loads(heis_config.read_text()) | {"M": 2_000}
+        cfg["params"] |= {"recenter": recenter, "diffusion_steps": 8, "nu_samples": 2_000}
+        heis_config.write_text(json.dumps(cfg))
+        out = tmp_path / f"{recenter}.csv"
+        assert main(["walk", mode, "--config", str(heis_config), "--out", str(out)]) == 0
+        bodies.append([line.rsplit(",", 1)[0] for line in read_body(out)])
+    assert bodies[0] == bodies[1]
 
 
 @pytest.mark.parametrize("command, params", [

@@ -74,6 +74,18 @@ def test_heisenberg_llt_config_runs(tmp_path):
     assert [line.split(",")[:2] for line in lines[2:]] == [["llt_box", "4"], ["llt_box", "8"]]
 
 
+def test_heisenberg_drift_ratio_config_passes_its_check(tmp_path):
+    """configs/heisenberg_drift_ratio.json at full size through `walk ratio`:
+    the non-centred walk and the limit sample sit at one place, so each
+    ratio passes its configured check."""
+    proc = run_python(["-m", "nilwalk.cli", "walk", "ratio", "--config",
+                       str(ROOT / "configs" / "heisenberg_drift_ratio.json"),
+                       "--out", "ratio.csv"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "ratio.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in lines[2:]] == [["ratio", "16"], ["ratio", "32"]]
+
+
 def load_bench():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)

@@ -6,6 +6,7 @@ import pytest
 
 from nilwalk.algebra import abelian, free_nilpotent, heisenberg3
 from nilwalk.filtration import WeightFiltration
+from nilwalk.limitlaw import DiffusionSpec, simulate_limit
 from nilwalk.measures import (
     AtomicMeasure,
     Dirac1D,
@@ -19,6 +20,7 @@ from nilwalk.walks import (
     ExperimentResult,
     Plan,
     WalkConfig,
+    centring,
     clt_experiment,
     drift_vector_adapted,
     gradual_truncation,
@@ -269,6 +271,57 @@ def test_ratio_consistent_at_identity(heis_centered, heis_gauss):
     res = ratio_experiment(cfg_num, [(-2.0, 2.0), (-2.0, 2.0), (-4.0, 4.0)],
                            den * scale)
     assert abs(res.estimate - 1.0) <= 4 * res.stderr
+
+
+def test_ratio_with_no_walk_hit_has_a_positive_stderr(heis_centered, heis_gauss):
+    """A bank at x1 = 10 dilates to x1 = 20, about 10 sigma beyond the walk's
+    reach at N = 4: every bank sample hits, the walk never does, and the
+    stderr counts the walk side as one hit in M."""
+    m = 2_000
+    bank = np.zeros((500, 3))
+    bank[:, 0] = 10.0
+    res = ratio_experiment(WalkConfig(heis_centered, heis_gauss, 4, m, seed=3),
+                           [(19.0, 21.0), (-1.0, 1.0), (-1.0, 1.0)], bank)
+    assert res.extra["hits_walk"] == 0 and res.extra["hits_nu"] == 500
+    assert res.estimate == 0.0
+    assert res.stderr == 1 / m > 0
+
+
+@pytest.mark.parametrize("recenter", ["none", "mean", "variable"])
+def test_centring_translates_the_limit_by_n_x_times_the_walks_shift(recenter):
+    """free-nilpotent(2,3) drifting along e1: t = N X * r in every mode, mean
+    leaves the limit sample exactly where it is, and none the walk."""
+    alg = free_nilpotent(2, 3)
+    wf = WeightFiltration(alg, [1, 0, 0, 0, 0])
+    mu = ProductMeasure(alg, [Uniform1D(0.5, 1.5)] + [Uniform1D(-1.0, 1.0)] * 4)
+    cfg = WalkConfig(wf, mu, 9, 10, recenter=recenter,
+                     variable_shift=[0.5, -0.5, 0.25, 0.1, -0.1])
+    r, t = centring(cfg)
+    nx = 9 * drift_vector_adapted(cfg)
+    assert np.any(nx)
+    np.testing.assert_allclose(t, wf.adapted_algebra.product_map()(nx, r), atol=1e-12)
+    if recenter == "mean":
+        assert not np.any(t) and np.array_equal(r, -nx)
+    if recenter == "none":
+        assert not np.any(r) and np.array_equal(t, nx)
+    if recenter == "variable":
+        assert np.any(r) and np.any(t)
+
+
+@pytest.mark.parametrize("recenter", ["mean", "variable"])
+def test_pixel_and_ratio_place_the_limit_by_the_walks_centring(heis, heis_drift_e1, recenter):
+    """Drifted heisenberg3, recentered: pixel's largest gap stays within its
+    noise scale, and the ratio in the box [-3,3]^3 is within 0.2 of 1 (a limit
+    sample left where it is reads 0.40 under variable recentering)."""
+    mu = ProductMeasure(heis, [Gaussian1D(1.0, 1.0), Gaussian1D(), Gaussian1D()])
+    spec = DiffusionSpec.from_measure(heis_drift_e1, mu, n_time_steps=32)
+    bank = simulate_limit(spec, np.random.default_rng(11), 20_000)
+    cfg = WalkConfig(heis_drift_e1, mu, 16, 20_000, seed=12, recenter=recenter,
+                     variable_shift=[0.5, -0.5, 0.25])
+    res = pixel_experiment(cfg, bank)
+    assert res.estimate <= res.stderr
+    res = ratio_experiment(cfg, [(-3.0, 3.0)] * 3, bank)
+    assert abs(res.estimate - 1.0) <= 0.2
 
 
 def test_pixel_constant_function_gap_zero(heis_centered, heis_gauss):
