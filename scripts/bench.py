@@ -7,7 +7,11 @@ kernel times product_map per builtin algebra (ns per replica-step, and the
 build time of a fresh algebra's kernel, with an empty kernel cache and with
 a warm one), and its in-place call on coordinate-major x and y, the layout
 of the walk's fold on an identity adapted basis, checking that it writes
-the allocating call's bytes; exact each exact identity family and
+the allocating call's bytes; the allocating call is timed after ten warm
+calls, so it does not time the first touch of each new output.  It
+also times a 100-row walk of 4096 steps, the Cesaro walk's shape, both as
+a per-step loop of in-place products and as one path_map call, checking
+that the two write the same bytes; exact each exact identity family and
 acceptance criterion 1, nilmanifold the Cesaro walk on H(R)/H(Z) at three
 (replicas, steps) shapes (seconds per call, and peak RSS), and walk one
 `nilwalk walk` command per case (wall and CPU seconds, and peak RSS): llt
@@ -52,6 +56,7 @@ KERNEL_ALGEBRAS = ["heisenberg3", "filiform4", "abelian(3)", "free-nilpotent(2,2
                    "free-nilpotent(2,3)", "free-nilpotent(2,4)", "free-nilpotent(3,2)",
                    "free-nilpotent(3,3)", "free-nilpotent(2,3)+e1-adapted"]
 KERNEL_ROWS, KERNEL_REPEATS = 250_000, 5
+PATH_ROWS, PATH_STEPS = 100, 4096
 EXACT_FAMILIES = ["bch-assoc", "periodization", "swap-fact1", "swap-fact2", "swap-fact3",
                   "swap-a4", "construction"]
 EXACT_REPEATS = 3
@@ -114,24 +119,24 @@ def kernel_case(name):
     kernels = getattr(algebra, "compiled_kernel", None)  # a numpy-only tree compiles nothing
 
     def build():
-        """A fresh algebra's product_map and the seconds it took, with no
+        """A fresh algebra, and the seconds its product_map took with no
         kernel cached in process."""
         if kernels is not None:
             kernels.cache_clear()
         fresh = NilpotentAlgebra(alg.dim, alg.step, alg.table, validate=False)
         t0 = time.perf_counter()
-        product = fresh.product_map()
-        return product, time.perf_counter() - t0
+        fresh.product_map()
+        return fresh, time.perf_counter() - t0
 
     with tempfile.TemporaryDirectory() as cache:
         os.environ["XDG_CACHE_HOME"] = cache
         _, compile_s_cold = build()  # an empty kernel cache: compiles
-        product, compile_s_warm = build()  # loads what the cold build left
+        fresh, compile_s_warm = build()  # loads what the cold build left
+    product = fresh.product_map()
     rng = np.random.default_rng(20240601)
     x = rng.uniform(-1.0, 1.0, (KERNEL_ROWS, alg.dim))
     y = rng.uniform(-1.0, 1.0, (KERNEL_ROWS, alg.dim))
     out = product(x, y)
-    _, times = timed(lambda: product(x, y), KERNEL_REPEATS)
     xc, yc = (np.ascontiguousarray(a.T).T for a in (x, y))  # coordinate-major
     if "out" in inspect.signature(product).parameters:
         in_place = functools.partial(product, xc, yc, out=xc)
@@ -140,11 +145,35 @@ def kernel_case(name):
     if np.ascontiguousarray(in_place()).tobytes() != out.tobytes():
         raise SystemExit(f"{name}: the in-place product differs from the allocating one")
     _, in_place_times = timed(in_place, KERNEL_REPEATS)
+    timed(lambda: product(x, y), 2 * KERNEL_REPEATS)  # warm calls: first touch of new outputs
+    _, times = timed(lambda: product(x, y), KERNEL_REPEATS)
+
+    start = rng.uniform(-1.0, 1.0, (PATH_ROWS, alg.dim))
+    incs = rng.uniform(-1.0, 1.0, (PATH_STEPS, PATH_ROWS, alg.dim))
+    loop_buffer, path_buffer = np.empty((2, PATH_STEPS + 1, PATH_ROWS, alg.dim))
+    loop_buffer[0] = path_buffer[0] = start
+
+    def loop():
+        for k in range(PATH_STEPS):
+            product(loop_buffer[k], incs[k], out=loop_buffer[k + 1])
+
+    if hasattr(fresh, "path_map"):
+        path = functools.partial(fresh.path_map(), path_buffer, incs)
+    else:  # a tree without a path walks by the per-step loop
+        path, path_buffer = loop, loop_buffer
+    _, loop_times = timed(loop, KERNEL_REPEATS)
+    _, path_times = timed(path, KERNEL_REPEATS)
+    if path_buffer.tobytes() != loop_buffer.tobytes():
+        raise SystemExit(f"{name}: the path differs from the per-step loop")
     return ({"ns_per_replica_step": statistics.median(times) / KERNEL_ROWS * 1e9,
              "in_place_ns_per_replica_step": statistics.median(in_place_times)
              / KERNEL_ROWS * 1e9,
+             "loop_ns_per_replica_step": statistics.median(loop_times)
+             / (PATH_ROWS * PATH_STEPS) * 1e9,
+             "path_ns_per_replica_step": statistics.median(path_times)
+             / (PATH_ROWS * PATH_STEPS) * 1e9,
              "compile_s_cold": compile_s_cold, "compile_s_warm": compile_s_warm},
-            hashlib.sha256(out.tobytes()).hexdigest())
+            hashlib.sha256(out.tobytes() + path_buffer.tobytes()).hexdigest())
 
 
 def exact_family(name):

@@ -25,19 +25,22 @@ the Jacobi check in ``validate`` is one contraction of it.  Fractions
 are built once per output coordinate or coefficient.
 
 Float mode has one plan per algebra and two back ends that run it
-(``product_kernels``).  The plan lists the monomials of ``group_law``,
-each as a prefix times one variable, and per coordinate the groups of
-monomials with equal |coefficient|.  The numpy kernel runs it as ufunc
-passes of BLOCK_ROWS rows.  The compiled kernel is C emitted from the same
-plan, one loop over rows with the same products, the same sums in the same
-order and one multiplication per group, compiled with the system C
-compiler under CFLAGS (no fast-math, no fused multiply-add) and called
-through ctypes, which releases the interpreter lock.  Every operation
-therefore rounds as in numpy, and the two give the same bits.  Both only
-write into ``out``; for a call that passes none, ``_operands`` allocates a
-new C-ordered array of the broadcast shape of x and y.  The shared
-object is cached by the SHA-256 of its flags and source, in process and
-under ``$XDG_CACHE_HOME/nilwalk`` (default ``~/.cache/nilwalk``), so a
+(``product_kernels``).  The plan lists the monomials of ``group_law``, each
+as a prefix times one variable, and per coordinate the groups of monomials
+with equal |coefficient|.  The numpy kernel runs it as ufunc passes of
+BLOCK_ROWS rows.  The compiled kernel is one C function emitted from the
+same plan: a loop over rows with the same products, the same sums in the
+same order and one multiplication per group, inside a loop over s steps.  A
+product is s = 1, and ``path_map`` walks s steps in one call: on the Cesaro
+walk's 100 rows, 3.2 ns per replica-step against 53 ns for a call per step,
+and the step fields cost a 100-row product about 1%.  It is compiled with
+the system C compiler under CFLAGS (no fast-math, no fused multiply-add)
+and called through ctypes, which releases the interpreter lock.  Every
+operation therefore rounds as in numpy, and the two give the same bits.
+Both only write into ``out``; for a call that passes none, ``_operands``
+allocates a new C-ordered array of the broadcast shape of x and y.  The
+shared object is cached by the SHA-256 of its flags and source, in process
+and under ``$XDG_CACHE_HOME/nilwalk`` (default ``~/.cache/nilwalk``), so a
 machine compiles each kernel once.  The numpy kernel runs when there is no
 compiler on PATH, the cache is unwritable, or the compile or the load
 fails; the tests keep it as the compiled kernel's oracle.
@@ -54,7 +57,7 @@ import shutil
 import struct
 import tempfile
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import Sequence
 
@@ -273,6 +276,14 @@ class NilpotentAlgebra:
         numpy_kernel, compiled = self.product_kernels
         return compiled or numpy_kernel
 
+    def path_map(self):
+        """path(buffer, incs) writes buffer[k + 1] = buffer[k] * incs[k] for
+        k < s into a float (s + 1, n, dim) buffer from (s, n, dim) increments,
+        with the bytes of a loop of ``product_map`` calls: the compiled
+        kernel's step loop in one call, or that loop on the numpy kernel."""
+        numpy_kernel, compiled = self.product_kernels
+        return compiled.path if compiled else partial(_step_loop, numpy_kernel)
+
     @cached_property
     def product_kernels(self):
         """(numpy kernel, compiled kernel or None): two back ends of one plan.
@@ -410,7 +421,9 @@ def _c_source(d: int, steps: dict, plan: list) -> str:
     order: the same products, each group summed left to right, one
     multiplication by the group's coefficient (written exactly, in hex)
     and the groups added to x + y in plan order.  Every input of a row is
-    read before its output is written, so out may be x or y."""
+    read before its output is written, so out may be x or y.  An outer
+    loop runs s such products, one after the other, on x, y and out each
+    advanced by a step stride: step j may read the rows step j - 1 wrote."""
     name = {(v,): f"x{v}" if v < d else f"y{v - d}" for v in range(2 * d)}
     body = [f"const double x{k} = x[{k} * xc], y{k} = y[{k} * yc];" for k in range(d)]
     for i, (m, (prefix, last)) in enumerate(steps.items()):
@@ -425,11 +438,13 @@ def _c_source(d: int, steps: dict, plan: list) -> str:
             "void nilwalk_product(const ptrdiff_t *arg)\n"
             "{\n"
             "    const ptrdiff_t n = arg[0], xr = arg[2], xc = arg[3], yr = arg[5], yc = arg[6],\n"
-            "                    orow = arg[8], oc = arg[9];\n"
-            "    const double *x = (const double *)arg[1], *y = (const double *)arg[4];\n"
-            "    double *o = (double *)arg[7];\n"
-            "    for (ptrdiff_t i = 0; i < n; i++, x += xr, y += yr, o += orow) {\n"
-            + "".join(f"        {line}\n" for line in body) + "    }\n}\n")
+            "                    orow = arg[8], oc = arg[9], s = arg[10];\n"
+            "    for (ptrdiff_t j = 0; j < s; j++) {\n"
+            "        const double *x = (const double *)arg[1] + j * arg[11];\n"
+            "        const double *y = (const double *)arg[4] + j * arg[12];\n"
+            "        double *o = (double *)arg[7] + j * arg[13];\n"
+            "        for (ptrdiff_t i = 0; i < n; i++, x += xr, y += yr, o += orow) {\n"
+            + "".join(f"            {line}\n" for line in body) + "        }\n    }\n}\n")
 
 
 def c_compiler() -> str | None:
@@ -513,16 +528,25 @@ def compiled_kernel(source: str):
     return fn
 
 
-# The kernel's one argument: n, then (address, row stride, column stride) of
-# x, y and out, strides in doubles.  Packed, the call costs about 0.4 us, and
-# with ten arguments converted by ctypes about 1.4 us, on a 2-core Xeon where
-# the numpy kernel takes about 6 us for a 100-row heisenberg3 product.
-_ARGS = struct.Struct("10n")
+# The kernel's one argument: n, (address, row stride, column stride) of x, y
+# and out, the step count s and the step strides of x, y and out, strides in
+# doubles; a product is s = 1.  Packed, the call costs about 0.4 us, and a
+# 100-row heisenberg3 product in place 3.4 us, 1.3% more than with the ten
+# fields before the step loop (2-core Xeon; numpy kernel: about 6 us).
+_ARGS = struct.Struct("14n")
+
+
+def _step_loop(product, buffer, incs):
+    """buffer[k + 1] = product(buffer[k], incs[k]) for k < len(incs), a call a step."""
+    for k in range(len(incs)):
+        product(buffer[k], incs[k], out=buffer[k + 1])
+    return buffer
 
 
 def _compiled_product(fn, d: int, fallback):
     """The product through fn on (n, d), (1, d) or (d,) float arrays of any
-    strides; any other input goes to fallback, the numpy kernel."""
+    strides, any other input going to fallback (the numpy kernel); its
+    ``path`` attribute runs ``path_map``'s walk in one call of fn."""
 
     def layout(a: np.ndarray, n: int):
         """(address, row stride, column stride), strides in doubles, or None."""
@@ -551,9 +575,23 @@ def _compiled_product(fn, d: int, fallback):
         if lx is None or ly is None or lo is None or out.dtype != np.float64 \
                 or not out.flags.writeable:
             return fallback(x, y, out)
-        fn(_ARGS.pack(n, *lx, *ly, *lo))
+        fn(_ARGS.pack(n, *lx, *ly, *lo, 1, 0, 0, 0))
         return out
 
+    def path(buffer: np.ndarray, incs: np.ndarray) -> np.ndarray:
+        """``path_map`` in one call, x = buffer[:s] and out = buffer[1:]."""
+        incs = np.asarray(incs, dtype=float)
+        s, strides = len(incs), buffer.strides + incs.strides
+        if buffer.shape != (s + 1, *incs.shape[1:]) or incs.shape[2:] != (d,) \
+                or buffer.dtype != np.float64 or not buffer.flags.writeable \
+                or any(v & 7 for v in strides):
+            return _step_loop(product, buffer, incs)
+        bs, br, bc, xs, xr, xc = (v >> 3 for v in strides)
+        fn(_ARGS.pack(incs.shape[1], buffer.ctypes.data, br, bc, incs.ctypes.data, xr, xc,
+                      buffer[1:].ctypes.data, br, bc, s, bs, xs, bs))
+        return buffer
+
+    product.path = path
     return product
 
 

@@ -287,14 +287,16 @@ def cmd_limit(args) -> int:
 
 def cmd_nilmanifold_equid(args) -> int:
     cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed)
-    checkpoints = cfg.params.get("checkpoints", [args.N])
-    if args.N not in checkpoints:
-        checkpoints = sorted(set(list(checkpoints) + [args.N]))
+    checkpoints = [*cfg.params.get("checkpoints", []), args.N]  # sorted, once each, by the walk
+    past = sorted(c for c in map(int, checkpoints) if c > args.N)
+    if past:
+        raise ValueError(f"checkpoints {past} are past --N {args.N}")
     rep = cesaro_equidistribution(
         cfg.measure, args.N, cfg.n_replicas, cells_per_axis=args.cells,
         seed=cfg.seed, checkpoints=checkpoints,
     )
     del rep["final_counts"]
+    rep["product_kernel"] = "compiled" if cfg.measure.algebra.product_kernels[1] else "numpy"
     print(json.dumps(rep, indent=2))
     final = rep["checkpoints"][args.N]["discrepancy"]
     return EXIT_OK if final < float(cfg.params.get("discrepancy_bound", 0.1)) else 1

@@ -9,7 +9,8 @@ exp(t3 e3), right multiplication by a lattice element acts as
 so reducing t1 and t2 mod 1, correcting t3 by floor(t1) * t2, and finally
 reducing t3 mod 1 lands every right coset exactly once in the unit cube.
 Cell volumes of a cubical partition in these coordinates are exact (the
-chart has unit Jacobian and Lebesgue measure is the Haar measure).
+chart has unit Jacobian and Lebesgue measure is the Haar measure).  The
+Cesaro walk draws and multiplies a block of steps per call (``path_map``).
 
 The lazy-walk comparison bound is computed exactly: the expected
 occupation times of the half-lazy counting chain are binomial tail sums,
@@ -86,10 +87,10 @@ def cesaro_equidistribution(measure: Measure, n_steps: int, n_replicas: int,
     relative version (scaled by the cell count) is reported alongside.
 
     The walk runs in blocks of about BLOCK_ROWS replica-steps: one
-    ``sample_steps`` call draws the increments, each step's products go to
-    the next row of a buffer, and its rows are folded and counted per block.
-    Blocks end at checkpoints, and the draws equal one ``sample`` call per
-    step, so the report does not depend on the block size.
+    ``sample_steps`` call draws the increments, one ``path_map`` call writes
+    each step's products to the next row of a buffer, and the rows are folded
+    and counted.  Blocks end at checkpoints, and the draws and products equal
+    a ``sample`` and a product per step, so no block size changes the report.
     """
     algebra = measure.algebra
     if algebra.dim != 3 or algebra.step != 2:
@@ -105,7 +106,7 @@ def cesaro_equidistribution(measure: Measure, n_steps: int, n_replicas: int,
         raise ValueError("checkpoints must be >= 1")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    product = algebra.product_map()
+    path = algebra.path_map()
     n_cells = cells_per_axis**3
     counts = np.zeros(n_cells, dtype=np.int64)
     block = max(1, BLOCK_ROWS // n_replicas)
@@ -117,8 +118,7 @@ def cesaro_equidistribution(measure: Measure, n_steps: int, n_replicas: int,
         while done < cp:
             steps = min(block, cp - done)
             incs = measure.sample_steps(rng, steps, n_replicas).reshape(steps, n_replicas, 3)
-            for k in range(steps):
-                product(visited[k], incs[k], out=visited[k + 1])
+            path(visited[:steps + 1], incs)
             idx = cell_index(fold_second_kind(visited[:steps].reshape(-1, 3)), cells_per_axis)
             counts += np.bincount(idx, minlength=n_cells)
             visited[0] = visited[steps]  # the next block starts where this one ended

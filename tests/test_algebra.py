@@ -468,6 +468,86 @@ def test_kernel_cache_is_reused_and_a_truncated_object_is_rebuilt(tmp_path, monk
         compiled_kernel.cache_clear()
 
 
+# -- the path: a whole walk in one call ------------------------------------------------
+
+
+def path_cases(d, rng):
+    """(buffer, incs) pairs: one step; one row across BLOCK_ROWS steps; a zero
+    start; increments that are a strided view and coordinate-major; and a
+    buffer that is the leading rows of a longer one.  Every other start is
+    non-zero."""
+    def walk(s, n, buffer_rows=None):
+        buffer = np.zeros((buffer_rows or s + 1, n, d))[:s + 1]
+        buffer[0] = rng.uniform(-2, 2, (n, d))
+        return buffer, rng.uniform(-1, 1, (s, n, d))
+
+    yield walk(1, 50)
+    yield walk(BLOCK_ROWS + 1, 1)
+    buffer, incs = walk(30, 7)
+    buffer[0] = 0.0
+    yield buffer, incs
+    yield walk(25, 9)[0], rng.uniform(-1, 1, (50, 9, 2 * d))[::2, :, ::2]
+    buffer, incs = walk(20, 6)
+    yield buffer, np.ascontiguousarray(incs.transpose(2, 1, 0)).transpose(2, 1, 0)
+    yield walk(12, 5, buffer_rows=41)
+
+
+def check_path(path, numpy_kernel, d, seed):
+    """path writes, into its buffer, the bytes of the numpy kernel's per-step loop."""
+    for buffer, incs in path_cases(d, np.random.default_rng(seed)):
+        want = np.array(buffer)
+        for k in range(len(incs)):
+            want[k + 1] = numpy_kernel(want[k], incs[k])
+        assert path(buffer, incs) is buffer
+        assert buffer.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_ALGEBRAS))
+def test_path_has_the_numpy_step_loops_bits(name, monkeypatch):
+    """With a compiled kernel, each path is one call: its step loop never
+    falls back to a product per step."""
+    alg = GUARD_ALGEBRAS[name]()
+    numpy_kernel, compiled = alg.product_kernels
+    if compiled is not None:
+        monkeypatch.setattr(algebra, "_step_loop", lambda *a: pytest.fail("a call per step"))
+    check_path(alg.path_map(), numpy_kernel, alg.dim, 41)
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_ALGEBRAS))
+def test_path_without_a_compiled_kernel_is_the_numpy_step_loop(name, numpy_fallback):
+    alg = _copy(GUARD_ALGEBRAS[name]())
+    numpy_kernel, compiled = alg.product_kernels
+    assert compiled is None
+    check_path(alg.path_map(), numpy_kernel, alg.dim, 43)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "filiform4", "free(2,3)"])
+def test_path_equals_multi_product_exact_where_floats_are_exact(name):
+    """Zero tolerance, on the path: the two layer-one coordinates of the
+    start and of every increment are multiples of 3/8 and the others of 1/8,
+    so, as in the one-product test above, every partial product is exact in
+    binary64 and row k of the buffer is float(multi_product_exact) of the
+    start and the first k increments."""
+    alg = GUARD_ALGEBRAS[name]()
+    rng = random.Random(name + "-path")
+    s, n = 24, 3
+
+    def point():
+        return [F(3 * rng.randint(-8, 8) if i < 2 else rng.randint(-8, 8), 8)
+                for i in range(alg.dim)]
+
+    starts = [point() for _ in range(n)]
+    incs = [[point() for _ in range(n)] for _ in range(s)]
+    buffer = np.zeros((s + 1, n, alg.dim))
+    buffer[0] = np.array(starts, dtype=float)
+    alg.path_map()(buffer, np.array(incs, dtype=float))
+    for k in range(s + 1):
+        for r in range(n):
+            exact = alg.multi_product_exact([starts[r]] + [inc[r] for inc in incs[:k]])
+            assert all(F(float(c)) == c for c in exact)
+            assert buffer[k, r].tolist() == [float(c) for c in exact]
+
+
 # -- the integer Lie evaluator --------------------------------------------------------
 
 

@@ -680,6 +680,27 @@ def test_nilmanifold_equid_rejects_checkpoint_zero(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_nilmanifold_equid_names_the_checkpoints_past_n(tmp_path, capsys):
+    cfg = equid_config(tmp_path, {"checkpoints": [50, 200, 300]})
+    assert main(["nilmanifold", "equid", "--config", cfg, "--N", "100"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "checkpoints [200, 300] are past --N 100" in captured.err
+
+
+def test_nilmanifold_equid_names_the_product_kernel(tmp_path, capsys):
+    from nilwalk.algebra import c_compiler
+
+    assert main(["nilmanifold", "equid", "--config", equid_config(tmp_path), "--N", "50"]) == 0
+    want = "compiled" if c_compiler() is not None else "numpy"
+    assert json.loads(capsys.readouterr().out)["product_kernel"] == want
+
+
+def test_nilmanifold_equid_on_the_numpy_kernel_says_so(tmp_path, capsys, numpy_fallback):
+    assert main(["nilmanifold", "equid", "--config", equid_config(tmp_path), "--N", "50"]) == 0
+    assert json.loads(capsys.readouterr().out)["product_kernel"] == "numpy"
+
+
 def test_pathswap_verify_rejects_step_below_a(capsys):
     assert main(["pathswap", "verify", "--a", "3", "--k", "1", "--nprime", "1",
                  "--step", "2"]) == 3

@@ -190,6 +190,15 @@ def test_blocked_walk_matches_per_step_loop(heis, law, replicas, steps, checkpoi
     assert got == want
 
 
+@pytest.mark.parametrize("law,replicas,steps,checkpoints,start", BLOCKED_CASES)
+def test_blocked_walk_on_the_numpy_kernel_matches_per_step_loop(numpy_fallback, law, replicas,
+                                                                steps, checkpoints, start):
+    """No compiled kernel: the path runs its step loop on the numpy kernel."""
+    heis = heisenberg3()  # a new algebra, whose kernels are built under the fallback
+    assert heis.product_kernels[1] is None
+    test_blocked_walk_matches_per_step_loop(heis, law, replicas, steps, checkpoints, start)
+
+
 @pytest.mark.parametrize("law", ["atoms", "gaussian", "two-point", "affine-atoms",
                                  "affine-gaussian"])
 @pytest.mark.parametrize("steps,size", [(1, 1), (1, 50), (7, 1), (40, 100), (3, 4097)])

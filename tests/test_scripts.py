@@ -98,6 +98,7 @@ def test_bench_worker_times_the_kernel(tmp_path):
     assert proc.returncode == 0, proc.stderr
     metrics, output = json.loads(proc.stdout.splitlines()[-1])
     assert metrics["ns_per_replica_step"] > 0 and metrics["in_place_ns_per_replica_step"] > 0
+    assert metrics["loop_ns_per_replica_step"] > 0 and metrics["path_ns_per_replica_step"] > 0
     assert len(output) == 64
     assert list(tmp_path.iterdir()) == []
 
