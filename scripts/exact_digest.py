@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """SHA-256 digests of exact outputs, to show that a change keeps them byte-identical.
 
-Two groups of reprs are hashed, each printed with its count:
+Four groups of reprs are hashed, each printed with its count:
 
   structure  for heisenberg3, filiform4, abelian(3) and free-nilpotent
              (2,2), (2,3), (2,4), (3,2), (3,3): the structure table and the
@@ -22,6 +22,12 @@ Two groups of reprs are hashed, each printed with its count:
              (degree, w-degree) with 1 <= degree <= s and
              degree <= w-degree <= degree * L (L the largest weight), for
              the algebras of dimension at most 5 at the drifts 0, e1 and e2
+  pathswap   exit code, stdout and --emit-poly file of `nilwalk pathswap
+             verify`, run through cli.main, on the six block systems
+             (a, k, n', step, pair limit) of perfbench's exact-symbolic
+             workload and on a = 4, k = 1, n' in {1, 2} at step 4, each at
+             the seeds in PATHSWAP_SEEDS, some of which draw a zero bracket
+             side first
 
 Run it on two source trees and compare the lines:
 
@@ -32,10 +38,13 @@ Run it on two source trees and compare the lines:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
 ALGEBRAS = ["heisenberg3", "filiform4", "abelian(3)", "free-nilpotent(2,2)",
@@ -56,7 +65,7 @@ def cases():
 
 def structure(alg, filtrations):
     from nilwalk.algebra import weight_ideals
-    from nilwalk.filtration import bias_extend
+    from nilwalk.filtration import ExtendedAlgebra
 
     yield sorted(alg.table.items())
     yield [s.basis for s in alg.descending_central_series()]
@@ -77,13 +86,13 @@ def structure(alg, filtrations):
         yield wf.from_adapted(u)
         yield wf.dilate(Fraction(5, 2), u)
         yield wf.graded_bracket(u, v)
-        yield bias_extend(wf).adapted_inv
+        yield ExtendedAlgebra(wf).adapted_inv
         if d <= 8:
             yield sorted(wf.adapted_algebra.table.items())
 
 
 def products(alg, filtrations, rng):
-    from nilwalk.filtration import bias_extend
+    from nilwalk.filtration import ExtendedAlgebra
 
     def vec(dim):
         return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(dim))
@@ -95,7 +104,7 @@ def products(alg, filtrations, rng):
         for wf in filtrations:
             yield wf.graded_product(x, y)
             yield wf.conjugated_product(Fraction(7, 2), x, y)
-            ext = bias_extend(wf)
+            ext = ExtendedAlgebra(wf)
             yield ext.bch_exact(vec(ext.dim), vec(ext.dim))
 
 
@@ -139,6 +148,29 @@ def fact3(rng):
             yield block_bracket_sides(bs, sigma, tau, j, alg, xs)
 
 
+PATHSWAP_SYSTEMS = [(2, 1, 1, 3, 16), (2, 1, 2, 3, 16), (2, 2, 1, 3, 16),
+                    (3, 1, 1, 3, 16), (3, 1, 2, 3, 4), (3, 2, 1, 3, 4),
+                    (4, 1, 1, 4, 16), (4, 1, 2, 4, 6)]
+PATHSWAP_SEEDS = [0, 7, 29, 49, 152, 303, 1692]
+
+
+def pathswap_runs():
+    from nilwalk.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        poly = os.path.join(tmp, "poly.tsv")
+        for a, k, nprime, step, limit in PATHSWAP_SYSTEMS:
+            for seed in PATHSWAP_SEEDS:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["pathswap", "verify", "--a", str(a), "--k", str(k),
+                                 "--nprime", str(nprime), "--step", str(step),
+                                 "--pair-limit", str(limit), "--seed", str(seed),
+                                 "--emit-poly", poly])
+                with open(poly) as fh:
+                    yield code, out.getvalue(), fh.read()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
@@ -146,7 +178,7 @@ def main() -> int:
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
 
-    groups = {"structure": [], "products": [], "laws": []}
+    groups = {"structure": [], "products": [], "laws": [], "pathswap": []}
     rng = random.Random(20231201)
     laws_rng = random.Random(20261019)
     for alg, filtrations in cases():
@@ -154,6 +186,7 @@ def main() -> int:
         groups["products"] += [repr(r) for r in products(alg, filtrations, rng)]
         groups["laws"] += [repr(r) for r in laws(alg, filtrations, laws_rng)]
     groups["products"] += [repr(r) for r in fact3(rng)]
+    groups["pathswap"] += [repr(r) for r in pathswap_runs()]
     for name, reprs in groups.items():
         digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
         print(f"{name:10s} {len(reprs):5d} reprs  sha256 {digest}")

@@ -31,6 +31,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -109,71 +110,22 @@ def cmd_filtration_compute(args) -> int:
     return EXIT_OK
 
 
-# draws of fact-3 inputs per large block before its check counts as vacuous
-FACT3_DRAWS = 8
-
-
 def cmd_pathswap_verify(args) -> int:
-    from .algebra import free_nilpotent, heisenberg3
-
     # truncated below degree a the support piece is zero, and fact 2 would
     # compare zero with zero
     if args.step < args.a:
         raise ValueError(f"--step {args.step} is below --a {args.a}")
-    system = pathswap.BlockSystem(args.a, args.k, args.nprime)
-    # an a-fold bracket vanishes below class a, so fact 3 needs class >= a
-    if args.a == 2:
-        algebra = heisenberg3()
-    elif args.a == 3:
-        algebra = free_nilpotent(3, 3)
-    else:
-        algebra = free_nilpotent(2, args.a)
-    budget = args.budget
-    freealg.check_budget(system.n_indices, args.step, budget)
-    pairs = pathswap.sample_pairs(system, limit=args.pair_limit)
-    ok1 = all(
-        pathswap.verify_low_degree_annihilation(system, s, t, args.step, budget)
-        for s, t in pairs
-    )
-    piece = freealg.product_support_size_part(system.n_indices, args.a, args.step, budget)
-    print(f"low-degree annihilation  [{len(pairs)} sigma/tau pairs]: "
-          f"{'PASS' if ok1 else 'FAIL'}")
-    ok2 = all(
-        pathswap.verify_block_decoupling(system, s, t, args.step, budget)
-        for s, t in pairs
-    )
-    print(f"block decoupling         [support piece {len(piece)} terms]: "
-          f"{'PASS' if ok2 else 'FAIL'}")
-
-    rng = random.Random(args.seed)
-    gens = system.swaps()
-    sigma = pathswap.FElement(system, [g for g in gens if g[0] % 2 == 1])
-    tau = pathswap.FElement(system, [g for g in gens if g[0] % 2 == 0])
-    ok3 = True
-    for j in range(system.n_prime):
-        # inputs whose bracket side is zero would compare zero with zero, so
-        # draw again; a block that never gets a nonzero side fails the fact
-        for _ in range(FACT3_DRAWS):
-            xs = []
-            for p in range(system.n_indices):
-                left = any(p in system.block_positions(j, -off) for off in range(1, system.a))
-                if left:
-                    xs.append(algebra.zero_vector())
-                else:
-                    xs.append(tuple(Fraction(rng.randint(-6, 6), 3) for _ in range(algebra.dim)))
-            if any(pathswap.block_bracket_rhs(system, sigma, j, algebra, xs)):
-                ok3 &= pathswap.verify_block_bracket_identity(system, sigma, tau, j, algebra,
-                                                              xs, budget)
-                break
-        else:
-            ok3 = False
-    print(f"block bracket identity   [evaluated on {algebra.name}]: "
-          f"{'PASS' if ok3 else 'FAIL'}")
-
+    pairs, piece, algebra, facts = pathswap.verify_system(
+        pathswap.BlockSystem(args.a, args.k, args.nprime), args.step, args.pair_limit,
+        random.Random(args.seed), args.budget)
+    verdicts = ["PASS" if ok else "FAIL" for ok in facts]
+    print(f"low-degree annihilation  [{pairs} sigma/tau pairs]: {verdicts[0]}")
+    print(f"block decoupling         [support piece {len(piece)} terms]: {verdicts[1]}")
+    print(f"block bracket identity   [evaluated on {algebra}]: {verdicts[2]}")
     if args.emit_poly:
         with open(args.emit_poly, "w") as fh:
             fh.write("\n".join(piece.dump_lines()) + "\n")
-    return EXIT_OK if (ok1 and ok2 and ok3) else 1
+    return EXIT_OK if all(facts) else 1
 
 
 def _box(params: dict, dim: int, half: float) -> list[tuple]:
@@ -222,18 +174,17 @@ def cmd_walk(args) -> int:
     else:
         for row in rows:
             print(",".join(str(row.get(c, "")) for c in CSV_COLUMNS))
-    failed = _apply_checks(results, params.get("checks", {}))
+    failed = _apply_checks(results, params.get("checks"))
     for line in failed:
         print(line, file=sys.stderr)
     return EXIT_OK if not failed else 1
 
 
-def _apply_checks(results: list[ExperimentResult], checks: dict) -> list[str]:
+def _apply_checks(results: list[ExperimentResult], checks: Optional[dict]) -> list[str]:
     """The configured target check, ExperimentResult.within, on every run."""
-    tol = checks.get("relative_tolerance")
-    target = checks.get("target")
-    if tol is None or target is None:
+    if checks is None:
         return []
+    tol, target = checks["relative_tolerance"], checks["target"]
     failed = []
     for res in results:
         res = dataclasses.replace(res, target=float(target))
@@ -246,8 +197,8 @@ def _apply_checks(results: list[ExperimentResult], checks: dict) -> list[str]:
 def cmd_fourier_scan(args) -> int:
     cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed)
     if args.xi_grid:
-        lo, hi, n = args.xi_grid.split(":")
-        xis = log_frequency_grid(cfg.filtration, per_layer=int(n), lo=float(lo), hi=float(hi))
+        lo, hi, n = args.xi_grid
+        xis = log_frequency_grid(cfg.filtration, per_layer=n, lo=lo, hi=hi)
     else:
         xis = log_frequency_grid(cfg.filtration)
     rep = reduced_domain_scan(
@@ -309,6 +260,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _xi_grid(text: str) -> tuple[float, float, int]:
+    try:
+        lo, hi, n = text.split(":")
+        return float(lo), float(hi), _positive_int(n)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"want lo:hi:per_layer with per_layer at least 1, got {text!r}") from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="nilwalk",
@@ -339,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     psv.add_argument("--k", type=int, required=True)
     psv.add_argument("--nprime", type=int, required=True)
     psv.add_argument("--step", type=int, required=True)
-    psv.add_argument("--pair-limit", type=int, default=36)
+    psv.add_argument("--pair-limit", type=_positive_int, default=36)
     psv.add_argument("--seed", type=int, default=0)
     psv.add_argument("--emit-poly")
     psv.set_defaults(func=cmd_pathswap_verify)
@@ -355,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     pfos = pfo.add_parser("scan")
     pfos.add_argument("--config", required=True)
     pfos.add_argument("--gamma0", type=float, default=0.1)
-    pfos.add_argument("--xi-grid", help="lo:hi:per_layer for the log grid")
+    pfos.add_argument("--xi-grid", type=_xi_grid, help="lo:hi:per_layer for the log grid")
     pfos.add_argument("--seed", type=int)
     pfos.add_argument("--out")
     pfos.set_defaults(func=cmd_fourier_scan)

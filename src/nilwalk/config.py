@@ -12,8 +12,10 @@ A config file is a JSON object with the fields
               or {"kind": "gaussian_layers", "cov": [...]}         (diagonal)
               or {"kind": "product", "factors": [{"kind": ...}, ...]}
               or {"kind": "affine", "base": {...}, "matrix": [...], "shift": [...]};
-    seed, M, N or N_grid, and per-experiment parameters.  Other keys (an
-    "experiment" name, say) are not read, but they enter the digest.
+    seed, M, N or N_grid, and per-experiment parameters, among them the
+    optional check {"target": t, "relative_tolerance": r} as params.checks.
+    Other keys (an "experiment" name, say) are not read, but they enter the
+    digest.
 
 The digest is a SHA-256 over the canonical (sorted-keys) JSON encoding, so
 key order in the file never changes identity.  CSV output starts with a
@@ -164,6 +166,14 @@ class ExperimentConfig:
         params = raw.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params must be an object")
+        checks = params.get("checks")
+        if checks is not None:
+            if not (isinstance(checks, dict) and set(checks) == {"target", "relative_tolerance"}
+                    and all(type(v) in (int, float) for v in checks.values())):
+                raise ConfigError("params.checks must be an object of two numbers, "
+                                  "target and relative_tolerance")
+            if not checks["relative_tolerance"] >= 0:
+                raise ValueError("params.checks relative_tolerance must not be negative")
         try:
             if "drift" in raw:
                 drift = [Fraction(str(c)) for c in raw["drift"]]
@@ -188,6 +198,8 @@ class ExperimentConfig:
         if not ordered:
             raise ValueError("each box entry must be a pair [lo, hi] with lo <= hi")
         filtration = WeightFiltration(algebra, drift)
+        if not grid:
+            raise ValueError("N_grid must list at least one N")
         if any(n < 1 for n in grid):
             raise ValueError("N values must be positive")
         if m < 1:

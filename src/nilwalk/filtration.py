@@ -346,10 +346,6 @@ class ExtendedAlgebra:
         return self.algebra.bch_exact(fracvec(x), fracvec(y))
 
 
-def bias_extend(filtration: WeightFiltration) -> ExtendedAlgebra:
-    return ExtendedAlgebra(filtration)
-
-
 # -- bi-graded evaluation -------------------------------------------------------
 
 

@@ -25,6 +25,10 @@ module verifies each of them by direct symbolic computation:
   3. With all variables to the left of the central block set to zero,
      A applied to the degree-a support-size-a piece evaluates to a sign
      times the left-nested bracket of the per-type block sums.
+
+``verify_system`` is the one home of the protocol that ``nilwalk pathswap
+verify`` runs; fact 3 draws its inputs again while the bracket side is zero,
+and a block that never gets a nonzero side fails.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .freealg import (
     DEFAULT_TERM_BUDGET,
     FreePoly,
+    check_budget,
     product_degree_part,
     product_support_size_part,
 )
@@ -317,3 +322,49 @@ def verify_block_bracket_identity(system: BlockSystem, sigma: FElement, tau: FEl
                                   algebra, xs: Sequence, budget: int = DEFAULT_TERM_BUDGET) -> bool:
     lhs, rhs = block_bracket_sides(system, sigma, tau, j, algebra, xs, budget)
     return tuple(lhs) == tuple(rhs)
+
+
+# draws of fact-3 inputs per large block before its check counts as vacuous
+FACT3_DRAWS = 8
+
+
+def bracket_inputs(system: BlockSystem, algebra, j: int, rng: random.Random) -> list:
+    """Fact-3 inputs for large block j: zero left of its central block, random thirds elsewhere."""
+    left = {p for off in range(1, system.a) for p in system.block_positions(j, -off)}
+    return [algebra.zero_vector() if p in left
+            else tuple(Fraction(rng.randint(-6, 6), 3) for _ in range(algebra.dim))
+            for p in range(system.n_indices)]
+
+
+def verify_drawn_bracket_identity(system: BlockSystem, sigma: FElement, tau: FElement,
+                                  algebra, rng: random.Random, budget: int) -> bool:
+    """Fact 3(ii) on every large block, on the first of ``FACT3_DRAWS`` draws
+    of ``bracket_inputs`` whose bracket side is nonzero; a block whose every
+    draw gives a zero side would compare zero with zero, so it fails."""
+    for j in range(system.n_prime):
+        draws = (bracket_inputs(system, algebra, j, rng) for _ in range(FACT3_DRAWS))
+        xs = next((d for d in draws if any(block_bracket_rhs(system, sigma, j, algebra, d))), None)
+        if not (xs and verify_block_bracket_identity(system, sigma, tau, j, algebra, xs, budget)):
+            return False
+    return True
+
+
+def verify_system(system: BlockSystem, step: int, pair_limit: int, rng: random.Random,
+                  budget: int) -> tuple[int, FreePoly, str, tuple[bool, bool, bool]]:
+    """The three block-swap facts on ``system``, truncated at ``step``: the
+    number of sigma/tau pairs facts 1 and 2 ran on, the support-size-a piece
+    of the group product, the name of fact 3's algebra and the verdicts."""
+    from .algebra import free_nilpotent, heisenberg3
+
+    # an a-fold bracket vanishes below class a, so fact 3 needs class >= a
+    a = system.a
+    algebra = heisenberg3() if a == 2 else free_nilpotent(3 if a == 3 else 2, a)
+    check_budget(system.n_indices, step, budget)
+    pairs = sample_pairs(system, limit=pair_limit)
+    ok1 = all(verify_low_degree_annihilation(system, s, t, step, budget) for s, t in pairs)
+    piece = product_support_size_part(system.n_indices, a, step, budget)
+    ok2 = all(verify_block_decoupling(system, s, t, step, budget) for s, t in pairs)
+    sigma = FElement(system, [g for g in system.swaps() if g[0] % 2 == 1])
+    tau = FElement(system, [g for g in system.swaps() if g[0] % 2 == 0])
+    ok3 = verify_drawn_bracket_identity(system, sigma, tau, algebra, rng, budget)
+    return len(pairs), piece, algebra.name, (ok1, ok2, ok3)

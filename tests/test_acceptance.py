@@ -29,18 +29,11 @@ from nilwalk.algebra import (
 from nilwalk.filtration import WeightFiltration
 from nilwalk.fourier import FrequencyPoint, PiecewiseLinear, band_limited_sandwich, \
     empirical_char_many, verify_sandwich
-from nilwalk.freealg import dynkin_product, verify_periodization_identity
+from nilwalk.freealg import DEFAULT_TERM_BUDGET, dynkin_product, verify_periodization_identity
 from nilwalk.limitlaw import DiffusionSpec, kde_density, levy_area_reference, simulate_limit
 from nilwalk.measures import AffineImage, AtomicMeasure, Dirac1D, Gaussian1D, ProductMeasure
 from nilwalk.nilmanifold import cesaro_equidistribution, lazy_walk_bound_profile
-from nilwalk.pathswap import (
-    BlockSystem,
-    FElement,
-    sample_pairs,
-    verify_block_bracket_identity,
-    verify_block_decoupling,
-    verify_low_degree_annihilation,
-)
+from nilwalk.pathswap import BlockSystem, verify_system
 from nilwalk.walks import (
     WalkConfig,
     clt_experiment,
@@ -116,24 +109,9 @@ def test_01_exact_symbolic_suite():
             for nprime in (1, 2):
                 bs = BlockSystem(a, k, nprime)
                 limit = 16 if bs.n_indices <= 12 else 6
-                pairs = sample_pairs(bs, limit=limit)
-                for sigma, tau in pairs:
-                    assert verify_low_degree_annihilation(bs, sigma, tau, 4), (a, k, nprime)
-                    assert verify_block_decoupling(bs, sigma, tau, 4), (a, k, nprime)
-                algebra = heisenberg3() if a == 2 else free_nilpotent(3, 3)
-                gens = bs.swaps()
-                sigma = FElement(bs, [g for g in gens if g[0] % 2 == 1])
-                tau = FElement(bs, [g for g in gens if g[0] % 2 == 0])
-                arng = random.Random(a * 100 + k * 10 + nprime)
-                for j in range(nprime):
-                    xs = []
-                    for p in range(bs.n_indices):
-                        left = any(p in bs.block_positions(j, -off) for off in range(1, a))
-                        xs.append(
-                            algebra.zero_vector() if left else
-                            tuple(F(arng.randint(-6, 6), 3) for _ in range(algebra.dim))
-                        )
-                    assert verify_block_bracket_identity(bs, sigma, tau, j, algebra, xs)
+                *_, facts = verify_system(bs, 4, limit, random.Random(a * 100 + k * 10 + nprime),
+                                          DEFAULT_TERM_BUDGET)
+                assert facts == (True, True, True), (a, k, nprime)
 
     # filtration facts: nesting, central-series sandwich, depth-2s vanishing,
     # and the two homogeneous dimensions of the running example

@@ -345,6 +345,51 @@ def test_workers_below_one_is_a_parse_error(heis_config, workers, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--pair-limit", "0"), ("--pair-limit", "-5"),
+    ("--xi-grid", "0.01:2:0"), ("--xi-grid", "0.01:2"), ("--xi-grid", "0.01:2:1.5"),
+    ("--xi-grid", "lo:2:3"),
+])
+def test_malformed_flag_value_is_a_parse_error(heis_config, flag, value, capsys):
+    command = {"--pair-limit": ["pathswap", "verify", "--a", "2", "--k", "1", "--nprime", "1",
+                                "--step", "3"],
+               "--xi-grid": ["fourier", "scan", "--config", str(heis_config)]}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main(command + [flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["walk", "llt"], ["walk", "clt"], ["fourier", "scan"]])
+def test_empty_n_grid_is_a_validation_error(heis_config, command, capsys):
+    """An empty grid would run nothing, and so pass any configured check."""
+    cfg = json.loads(heis_config.read_text())
+    cfg.pop("N")
+    cfg["N_grid"] = []
+    cfg["params"]["checks"] = {"target": 1000, "relative_tolerance": 0.01}
+    heis_config.write_text(json.dumps(cfg))
+    assert main(command + ["--config", str(heis_config)]) == 3
+    assert "N_grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checks,code", [
+    ({"target": 1000}, 2),
+    ({"target": 1000, "rel_tol": 0.01}, 2),
+    ({"target": 1000, "relative_tolerance": 0.01, "extra": 1}, 2),
+    ({"target": "1000", "relative_tolerance": 0.01}, 2),
+    ({"target": 1000, "relative_tolerance": True}, 2),
+    ("yes", 2),
+    ({"target": 1000, "relative_tolerance": -0.01}, 3),
+])
+def test_malformed_check_is_rejected(heis_config, checks, code, capsys):
+    """A half-specified check would run no check and pass."""
+    cfg = json.loads(heis_config.read_text())
+    cfg["params"]["checks"] = checks
+    heis_config.write_text(json.dumps(cfg))
+    assert main(["walk", "llt", "--config", str(heis_config)]) == code
+    assert "checks" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["llt", "clt", "theta"])
 def test_configured_check_fails_in_every_mode(tmp_path, heis_config, mode):
     cfg = json.loads(heis_config.read_text())

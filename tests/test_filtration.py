@@ -6,8 +6,8 @@ import pytest
 
 from nilwalk.algebra import NilpotentAlgebra, abelian, builtin_algebra, filiform4, free_nilpotent, heisenberg3
 from nilwalk.filtration import (
+    ExtendedAlgebra,
     WeightFiltration,
-    bias_extend,
     bigraded_evaluate,
     weight_ideals,
 )
@@ -268,13 +268,13 @@ def test_dilations_are_graded_automorphisms():
 
 
 def test_bias_extension_trivial_when_centered(heis_centered):
-    ext = bias_extend(heis_centered)
+    ext = ExtendedAlgebra(heis_centered)
     assert ext.is_trivial
     assert ext.lift((1, 2, 3)) == (1, 2, 3)
 
 
 def test_bias_extension_heisenberg(heis, heis_drift_e1):
-    ext = bias_extend(heis_drift_e1)
+    ext = ExtendedAlgebra(heis_drift_e1)
     assert ext.dim == 4
     chi = ext.lift(ext.X)
     e2 = (F(0), F(1), F(0), F(0))
@@ -285,7 +285,7 @@ def test_bias_extension_heisenberg(heis, heis_drift_e1):
 
 
 def test_projection_is_group_morphism(heis, heis_drift_e1):
-    ext = bias_extend(heis_drift_e1)
+    ext = ExtendedAlgebra(heis_drift_e1)
     rng = random.Random(8)
     for _ in range(15):
         u = tuple(F(rng.randint(-6, 6), 3) for _ in range(4))
@@ -296,7 +296,7 @@ def test_projection_is_group_morphism(heis, heis_drift_e1):
 
 
 def test_chi_coordinate_adds_along_products(heis_drift_e1):
-    ext = bias_extend(heis_drift_e1)
+    ext = ExtendedAlgebra(heis_drift_e1)
     x = ext.lift((F(1), F(1), F(0)))
     acc = x
     for n in range(2, 6):

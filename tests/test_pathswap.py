@@ -7,19 +7,21 @@ import pytest
 
 from nilwalk import pathswap
 from nilwalk.algebra import free_nilpotent, heisenberg3
-from nilwalk.freealg import FreePoly
+from nilwalk.freealg import DEFAULT_TERM_BUDGET, FreePoly
 from nilwalk.pathswap import (
     BlockSystem,
     FElement,
     all_elements,
     apply_operator,
     block_bracket_sides,
+    bracket_inputs,
     sample_pairs,
     swap_operator,
-    verify_block_bracket_identity,
     verify_block_decoupling,
     verify_block_vanishing,
+    verify_drawn_bracket_identity,
     verify_low_degree_annihilation,
+    verify_system,
 )
 
 CONFIGS = [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1)]
@@ -133,15 +135,7 @@ def test_bracket_identity_on_free_algebra(a, k, nprime):
     gens = bs.swaps()
     sigma = FElement(bs, [g for g in gens if rng.random() < 0.5])
     tau = FElement(bs, [g for g in gens if g not in sigma.active])
-    for j in range(bs.n_prime):
-        xs = []
-        for p in range(bs.n_indices):
-            left = any(p in bs.block_positions(j, -off) for off in range(1, a))
-            if left:
-                xs.append(algebra.zero_vector())
-            else:
-                xs.append(tuple(F(rng.randint(-6, 6), 3) for _ in range(algebra.dim)))
-        assert verify_block_bracket_identity(bs, sigma, tau, j, algebra, xs)
+    assert verify_drawn_bracket_identity(bs, sigma, tau, algebra, rng, DEFAULT_TERM_BUDGET)
 
 
 def test_bracket_identity_requires_zero_left_inputs():
@@ -172,31 +166,16 @@ def test_swap_operator_checks_both_elements_belong_to_the_system():
     assert len(swap_operator(bs, own, FElement(BlockSystem(2, 1, 1)))) == 2
 
 
-def _bracket_inputs(bs, algebra, j, rng):
-    return [algebra.zero_vector()
-            if any(p in bs.block_positions(j, -off) for off in range(1, bs.a))
-            else tuple(F(rng.randint(-6, 6), 3) for _ in range(algebra.dim))
-            for p in range(bs.n_indices)]
-
-
 @pytest.mark.parametrize("a,k,nprime,limit", [(4, 1, 1, 16), (4, 1, 2, 6)])
 def test_block_swap_facts_at_a4(a, k, nprime, limit):
     bs = BlockSystem(a, k, nprime)
-    pairs = sample_pairs(bs, limit=limit)
-    assert len(pairs) == limit
-    for sigma, tau in pairs:
-        assert verify_low_degree_annihilation(bs, sigma, tau, 4)
-        assert verify_block_decoupling(bs, sigma, tau, 4)
     # fact 3 needs class >= a: on free-nilpotent(2,4) both sides are nonzero
-    algebra = free_nilpotent(2, 4)
-    gens = bs.swaps()
-    sigma = FElement(bs, [g for g in gens if g[0] % 2 == 1])
-    tau = FElement(bs, [g for g in gens if g[0] % 2 == 0])
-    rng = random.Random(40 + nprime)
+    pairs, _, algebra, facts = verify_system(bs, 4, limit, random.Random(40 + nprime),
+                                             DEFAULT_TERM_BUDGET)
+    assert pairs == limit and algebra == "free_nilpotent(2,4)"
+    assert facts == (True, True, True)
+    sigma = FElement(bs, [g for g in bs.swaps() if g[0] % 2 == 1])
     for j in range(nprime):
-        xs = _bracket_inputs(bs, algebra, j, rng)
-        lhs, rhs = block_bracket_sides(bs, sigma, tau, j, algebra, xs)
-        assert lhs == rhs and any(lhs)
         shared = FElement(bs, sigma.active | {(2, j)})
         assert verify_block_vanishing(bs, sigma, shared, j, 4)
 
@@ -208,6 +187,6 @@ def test_bracket_side_vanishes_below_class_a():
     gens = bs.swaps()
     sigma = FElement(bs, [g for g in gens if g[0] % 2 == 1])
     tau = FElement(bs, [g for g in gens if g[0] % 2 == 0])
-    xs = _bracket_inputs(bs, algebra, 0, random.Random(3))
+    xs = bracket_inputs(bs, algebra, 0, random.Random(3))
     lhs, rhs = block_bracket_sides(bs, sigma, tau, 0, algebra, xs)
     assert not any(lhs) and not any(rhs)
